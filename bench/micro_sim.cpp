@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "core/compiled_routes.hpp"
 #include "obs/recorder.hpp"
@@ -15,6 +16,7 @@
 #include "trace/harness.hpp"
 #include "trace/openloop.hpp"
 #include "trace/replayer.hpp"
+#include "xgft/route.hpp"
 
 namespace {
 
@@ -254,6 +256,35 @@ void BM_RouteCompileLazy(benchmark::State& state) {
   state.counters["touched_bytes"] = static_cast<double>(bytes);
 }
 BENCHMARK(BM_RouteCompileLazy)->Unit(benchmark::kMillisecond);
+
+void BM_RoutePairKernel(benchmark::State& state) {
+  // The per-pair work inside every table compile, without the table: route
+  // each ordered pair of the 4096-host tier into one reused buffer and run
+  // the full validateRoute walk on it.  time_per_pair is the kernel cost
+  // the compile rows above multiply by 16.8M pairs.
+  const xgft::Topology topo(xgft3Tier(1));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const xgft::NodeIndex n = topo.numHosts();
+  xgft::Route route;
+  std::string error;
+  for (auto _ : state) {
+    std::uint64_t valid = 0;
+    for (xgft::NodeIndex s = 0; s < n; ++s) {
+      for (xgft::NodeIndex d = 0; d < n; ++d) {
+        router->route(s, d, route);
+        valid += xgft::validateRoute(topo, s, d, route, &error) ? 1 : 0;
+      }
+    }
+    benchmark::DoNotOptimize(valid);
+  }
+  const double pairs = static_cast<double>(n) * static_cast<double>(n);
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs) *
+                          state.iterations());
+  state.counters["time_per_pair"] = benchmark::Counter(
+      pairs, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RoutePairKernel)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -32,9 +32,10 @@ struct FailureSink {
 };
 
 /// Interval runs and stored port words one guide column would compress to.
-/// Router-only (no override, no validation): used for axis sampling and
-/// footprint estimation, where calling a RouteOverride would double-trigger
-/// its side effects (fault::compileDegraded records unreachable pairs).
+/// Router-only (no supplier, no validation): used for axis sampling and
+/// footprint estimation, where calling a PairRoute supplier would
+/// double-trigger its side effects (fault::compileDegraded records
+/// unreachable pairs).
 struct ColumnCost {
   std::uint64_t intervals = 0;
   std::uint64_t portWords = 0;
@@ -44,6 +45,7 @@ ColumnCost scanColumn(const routing::Router& r, bool byDst,
                       std::uint32_t guide, std::uint32_t numHosts) {
   ColumnCost cost;
   xgft::Route prev;
+  xgft::Route cur;
   bool havePrev = false;
   for (std::uint32_t pos = 0; pos < numHosts; ++pos) {
     if (pos == guide) {  // Diagonal: its own zero-length run.
@@ -51,11 +53,15 @@ ColumnCost scanColumn(const routing::Router& r, bool byDst,
       havePrev = false;
       continue;
     }
-    xgft::Route cur = byDst ? r.route(pos, guide) : r.route(guide, pos);
+    if (byDst) {
+      r.route(pos, guide, cur);
+    } else {
+      r.route(guide, pos, cur);
+    }
     if (!havePrev || cur.up != prev.up) {
       ++cost.intervals;
       cost.portWords += cur.up.size();
-      prev = std::move(cur);
+      std::swap(prev, cur);
       havePrev = true;
     }
   }
@@ -115,12 +121,12 @@ std::uint64_t CompiledRoutes::estimateCompressedBytes(
 std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
     std::shared_ptr<const routing::Router> router, std::uint32_t threads,
     TableLayout layout) {
-  return compileWith(std::move(router), RouteOverride{}, threads, layout);
+  return compileWith(std::move(router), PairRoute{}, threads, layout);
 }
 
 std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
-    std::shared_ptr<const routing::Router> router,
-    const RouteOverride& routeFor, std::uint32_t threads, TableLayout layout) {
+    std::shared_ptr<const routing::Router> router, const PairRoute& routeFor,
+    std::uint32_t threads, TableLayout layout) {
   if (!router) {
     throw std::invalid_argument("CompiledRoutes::compile: null router");
   }
@@ -131,7 +137,6 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   auto table =
       std::shared_ptr<CompiledRoutes>(new CompiledRoutes(std::move(router)));
   const routing::Router& r = *table->router_;
-  const xgft::Topology& topo = r.topology();
   const std::size_t n = table->numHosts_;
   const std::uint32_t stride = table->stride_;
 
@@ -143,7 +148,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     // Axis by deterministic sampling: three spread guide columns scanned
     // both ways; fewer total runs wins, a tie keeps kByDst.  Always scans
     // the healthy router — a degraded table differs from it on few pairs,
-    // and a RouteOverride must not be probed twice for any pair.
+    // and a PairRoute supplier must not be probed twice for any pair.
     const std::uint32_t hosts = static_cast<std::uint32_t>(n);
     std::uint64_t byDstRuns = 0;
     std::uint64_t bySrcRuns = 0;
@@ -157,23 +162,10 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     }
     table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
     if (routeFor) {
-      // Overridden tables never compile lazily: routeFor may reference
+      // Supplied tables never compile lazily: routeFor may reference
       // caller-stack state (fault::compileDegraded's degraded view), so
       // every chunk must be built before this call returns.
-      const PairRoute routeOf = [&r, &topo, &routeFor](xgft::NodeIndex s,
-                                                       xgft::NodeIndex d,
-                                                       xgft::Route& route) {
-        std::optional<xgft::Route> chosen = routeFor(s, d);
-        if (!chosen.has_value()) return false;
-        route = std::move(*chosen);
-        std::string error;
-        if (!xgft::validateRoute(topo, s, d, route, &error)) {
-          throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                      "): " + error);
-        }
-        return true;
-      };
-      table->compileAllWith(routeOf, threads);
+      table->compileAllWith(routeFor, threads);
     }
     return table;
   }
@@ -184,35 +176,17 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   // Each worker fills disjoint source rows, so no synchronization is needed
   // and the table contents are thread-count independent (routers are
   // required to be deterministic and immutable after construction; a
-  // routeFor override must uphold the same).
+  // routeFor supplier must uphold the same).
   const auto fillRows = [&](std::size_t sBegin, std::size_t sEnd) {
+    xgft::Route route;  // One buffer per worker, reused for every pair.
     for (std::size_t s = sBegin; s < sEnd; ++s) {
       for (std::size_t d = 0; d < n; ++d) {
         const std::size_t pair = s * n + d;
-        if (s == d) {
-          table->lens_[pair] = 0;
+        if (s == d ||
+            !table->supplyRoute(routeFor, static_cast<xgft::NodeIndex>(s),
+                                static_cast<xgft::NodeIndex>(d), route)) {
+          table->lens_[pair] = 0;  // Diagonal or unroutable: empty span.
           continue;
-        }
-        xgft::Route route;
-        if (routeFor) {
-          std::optional<xgft::Route> chosen =
-              routeFor(static_cast<xgft::NodeIndex>(s),
-                       static_cast<xgft::NodeIndex>(d));
-          if (!chosen.has_value()) {
-            table->lens_[pair] = 0;  // Unroutable (upPorts() empty span).
-            continue;
-          }
-          route = std::move(*chosen);
-        } else {
-          route = r.route(static_cast<xgft::NodeIndex>(s),
-                          static_cast<xgft::NodeIndex>(d));
-        }
-        std::string error;
-        if (!xgft::validateRoute(topo, static_cast<xgft::NodeIndex>(s),
-                                 static_cast<xgft::NodeIndex>(d), route,
-                                 &error)) {
-          throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                      "): " + error);
         }
         table->lens_[pair] = static_cast<std::uint8_t>(route.up.size());
         std::copy(route.up.begin(), route.up.end(),
@@ -252,24 +226,25 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   return table;
 }
 
-CompiledRoutes::PairRoute CompiledRoutes::routerPairRoute() const {
-  return [this](xgft::NodeIndex s, xgft::NodeIndex d, xgft::Route& route) {
-    const routing::Router& r = *router_;
-    route = r.route(s, d);
-    std::string error;
-    if (!xgft::validateRoute(r.topology(), s, d, route, &error)) {
-      throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                  "): " + error);
-    }
-    return true;
-  };
+bool CompiledRoutes::supplyRoute(const PairRoute& routeFor, xgft::NodeIndex s,
+                                 xgft::NodeIndex d, xgft::Route& route) const {
+  if (!routeFor) {
+    router_->route(s, d, route);
+  } else if (!routeFor(s, d, route)) {
+    return false;
+  }
+  std::string error;
+  if (!xgft::validateRoute(topology(), s, d, route, &error)) {
+    throw std::invalid_argument("CompiledRoutes(" + router_->name() +
+                                "): " + error);
+  }
+  return true;
 }
 
 void CompiledRoutes::appendColumn(std::uint32_t guide,
-                                  const PairRoute& routeOf,
-                                  Chunk& chunk) const {
+                                  const PairRoute& routeFor,
+                                  xgft::Route& route, Chunk& chunk) const {
   const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
-  xgft::Route route;
   std::uint32_t prevOff = 0;
   std::uint32_t prevLen = 0;
   bool havePrev = false;
@@ -278,7 +253,7 @@ void CompiledRoutes::appendColumn(std::uint32_t guide,
     if (pos != guide) {
       const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
       const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-      routable = routeOf(s, d, route);
+      routable = supplyRoute(routeFor, s, d, route);
     }
     if (routable) {
       const std::uint32_t len = static_cast<std::uint32_t>(route.up.size());
@@ -292,7 +267,7 @@ void CompiledRoutes::appendColumn(std::uint32_t guide,
       havePrev = true;
       chunk.intervals.push_back({pos, prevOff, len});
       chunk.ports.insert(chunk.ports.end(), route.up.begin(), route.up.end());
-    } else {  // Diagonal or override-declared unroutable: zero-length run.
+    } else {  // Diagonal or supplier-declined pair: zero-length run.
       if (havePrev && prevLen == 0) continue;
       prevLen = 0;
       havePrev = true;
@@ -302,15 +277,16 @@ void CompiledRoutes::appendColumn(std::uint32_t guide,
 }
 
 std::unique_ptr<CompiledRoutes::Chunk> CompiledRoutes::makeChunk(
-    std::size_t idx, const PairRoute& routeOf) const {
+    std::size_t idx, const PairRoute& routeFor) const {
   auto chunk = std::make_unique<Chunk>();
+  xgft::Route route;  // One buffer for the whole chunk.
   const std::uint32_t gBegin = static_cast<std::uint32_t>(idx * kChunkCols);
   const std::uint32_t gEnd = static_cast<std::uint32_t>(
       std::min(numHosts_, (idx + 1) * static_cast<std::size_t>(kChunkCols)));
   chunk->colOff.reserve(gEnd - gBegin + 1);
   chunk->colOff.push_back(0);
   for (std::uint32_t guide = gBegin; guide < gEnd; ++guide) {
-    appendColumn(guide, routeOf, *chunk);
+    appendColumn(guide, routeFor, route, *chunk);
     chunk->colOff.push_back(
         static_cast<std::uint32_t>(chunk->intervals.size()));
   }
@@ -343,7 +319,7 @@ const CompiledRoutes::Chunk& CompiledRoutes::chunkFor(
   }
   // First touch: build outside the lock (a concurrent first touch builds a
   // bit-identical duplicate that publishChunk then discards).
-  return publishChunk(idx, makeChunk(idx, routerPairRoute()));
+  return publishChunk(idx, makeChunk(idx, PairRoute{}));
 }
 
 const CompiledRoutes::Interval& CompiledRoutes::intervalOf(
@@ -385,10 +361,10 @@ xgft::NodeIndex CompiledRoutes::shareRep(xgft::NodeIndex s,
 
 void CompiledRoutes::compileAll(std::uint32_t threads) const {
   if (!compressed_) return;
-  compileAllWith(routerPairRoute(), threads);
+  compileAllWith(PairRoute{}, threads);
 }
 
-void CompiledRoutes::compileAllWith(const PairRoute& routeOf,
+void CompiledRoutes::compileAllWith(const PairRoute& routeFor,
                                     std::uint32_t threads) const {
   std::vector<std::size_t> pending;
   pending.reserve(numChunks_);
@@ -403,7 +379,7 @@ void CompiledRoutes::compileAllWith(const PairRoute& routeOf,
       std::min<std::size_t>(threads, pending.size()));
   const auto buildRange = [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
-      publishChunk(pending[k], makeChunk(pending[k], routeOf));
+      publishChunk(pending[k], makeChunk(pending[k], routeFor));
     }
   };
   if (threads <= 1) {

@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -81,24 +80,26 @@ class CompiledRoutes {
       std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
       TableLayout layout = TableLayout::kAuto);
 
-  /// Per-pair override: the route to store for (s, d), or std::nullopt to
-  /// mark the pair unroutable (upPorts() returns an empty span and
-  /// unroutable() is true).  Called concurrently from the compile workers,
-  /// so it must be thread-safe; s != d always, and every ordered pair is
-  /// queried exactly once.
-  using RouteOverride = std::function<std::optional<xgft::Route>(
-      xgft::NodeIndex, xgft::NodeIndex)>;
+  /// Route supplier for compileWith(): fills @p route for (s, d) —
+  /// overwriting it fully, as Router::route(s, d, out) does — and returns
+  /// true, or returns false to mark the pair unroutable (upPorts() returns
+  /// an empty span and unroutable() is true).  Called concurrently from the
+  /// compile workers, each with its own reused buffer, so it must be
+  /// thread-safe; s != d always, and every ordered pair is queried exactly
+  /// once.
+  using PairRoute =
+      std::function<bool(xgft::NodeIndex, xgft::NodeIndex, xgft::Route&)>;
 
   /// compile() with @p routeFor supplying each pair's route instead of the
   /// router's own — the degraded-topology recompilation path
-  /// (fault::compileDegraded).  Returned routes are validated exactly like
-  /// compile(); nullopt pairs are recorded unroutable instead of throwing.
-  /// Overridden tables always compile eagerly — @p routeFor may reference
-  /// caller-stack state, so no lazy chunk may outlive this call.
+  /// (fault::compileDegraded).  An empty @p routeFor means the router's
+  /// routes, i.e. compile().  Supplied routes are validated exactly like
+  /// compile(); pairs it declines are recorded unroutable instead of
+  /// throwing.  Supplied tables always compile eagerly — @p routeFor may
+  /// reference caller-stack state, so no lazy chunk may outlive this call.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compileWith(
-      std::shared_ptr<const routing::Router> router,
-      const RouteOverride& routeFor, std::uint32_t threads = 1,
-      TableLayout layout = TableLayout::kAuto);
+      std::shared_ptr<const routing::Router> router, const PairRoute& routeFor,
+      std::uint32_t threads = 1, TableLayout layout = TableLayout::kAuto);
 
   /// Flat-layout size in bytes for a topology, before building — callers
   /// bound memory with this (the engine tries the compressed layout above
@@ -189,11 +190,6 @@ class CompiledRoutes {
     std::vector<std::uint32_t> ports;
   };
 
-  /// Route supplier used by every compile path: fills @p route for (s, d)
-  /// or returns false for an unroutable pair.
-  using PairRoute =
-      std::function<bool(xgft::NodeIndex, xgft::NodeIndex, xgft::Route&)>;
-
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
   [[nodiscard]] std::span<const std::uint32_t> compressedLookup(
@@ -201,18 +197,24 @@ class CompiledRoutes {
   [[nodiscard]] const Interval& intervalOf(const Chunk& chunk,
                                            std::uint32_t guide,
                                            std::uint32_t pos) const;
+  /// The one per-pair step of every compile path: fills @p route for
+  /// (s, d) from @p routeFor (the router when empty) and validates it.
+  /// Returns false for a pair @p routeFor declines; throws
+  /// std::invalid_argument for a malformed route.
+  bool supplyRoute(const PairRoute& routeFor, xgft::NodeIndex s,
+                   xgft::NodeIndex d, xgft::Route& route) const;
   /// The chunk covering guide column @p guide, building it on first touch.
   [[nodiscard]] const Chunk& chunkFor(std::uint32_t guide) const;
-  /// Appends column @p guide's intervals and ports to @p chunk.
-  void appendColumn(std::uint32_t guide, const PairRoute& routeOf,
-                    Chunk& chunk) const;
+  /// Appends column @p guide's intervals and ports to @p chunk, using
+  /// @p route as the per-pair buffer.
+  void appendColumn(std::uint32_t guide, const PairRoute& routeFor,
+                    xgft::Route& route, Chunk& chunk) const;
   [[nodiscard]] std::unique_ptr<Chunk> makeChunk(
-      std::size_t idx, const PairRoute& routeOf) const;
+      std::size_t idx, const PairRoute& routeFor) const;
   /// Publishes @p chunk as chunk @p idx unless one is already installed.
   const Chunk& publishChunk(std::size_t idx,
                             std::unique_ptr<Chunk> chunk) const;
-  void compileAllWith(const PairRoute& routeOf, std::uint32_t threads) const;
-  [[nodiscard]] PairRoute routerPairRoute() const;
+  void compileAllWith(const PairRoute& routeFor, std::uint32_t threads) const;
 
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;

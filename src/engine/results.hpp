@@ -108,8 +108,9 @@ struct CampaignResults {
   std::vector<JobResult> jobs;  ///< Sorted by jobIndex after run().
 
   std::uint32_t threadsUsed = 0;
-  /// Per-job shard-worker budget the pool settled on (specs' own
-  /// sim_threads= keys override per job).  Host-volatile, like threadsUsed.
+  /// Per-job shard-worker budget the pool settled on: 1 unless
+  /// RunnerOptions::simThreads asked for more (specs' own sim_threads= keys
+  /// override per job).  Host-volatile, like threadsUsed.
   std::uint32_t simThreadsUsed = 0;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;

@@ -315,8 +315,9 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   trace::OpenLoopOptions ol;
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
-  // The spec's own sim_threads= wins; otherwise the runner's idle-share
-  // budget applies.  Either way the result bytes cannot depend on it.
+  // The spec's own sim_threads= wins; otherwise the runner's budget
+  // (serial by default) applies.  Either way the result bytes cannot
+  // depend on it.
   ol.simThreads =
       spec.simThreads != 0 ? spec.simThreads : std::max(1u, opt.simThreads);
   ol.spray = sprayCfg;
@@ -522,12 +523,12 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   // blow-up).
   RunnerOptions jobOpt = opt_;
   jobOpt.compileThreads = std::max(1u, poolWidth / threads);
-  // Shard workers get the same idle-share deal: a one-job campaign shards
-  // its event core across the whole pool, a saturated campaign runs each
-  // job's core serially.  An explicit --sim-threads budget wins.
-  if (jobOpt.simThreads == 0) {
-    jobOpt.simThreads = std::max(1u, poolWidth / threads);
-  }
+  // The event core runs serially unless a budget is asked for: sharding a
+  // job measured slower than the serial core on every tier (a one-job
+  // open-loop campaign took ~3x as long on 4 shards, with identical
+  // bytes).  An explicit --sim-threads budget, or a spec's own
+  // sim_threads= key, wins.
+  if (jobOpt.simThreads == 0) jobOpt.simThreads = 1;
 
   core::Mutex doneMu;  // Serializes onJobDone.
   const auto finishJob = [&](std::uint32_t index) {

@@ -155,10 +155,10 @@ struct RunnerOptions {
   std::uint32_t compileThreads = 1;
 
   /// Shard workers one job's event core may use (sim/shard.hpp); a spec's
-  /// own `sim_threads=` key overrides per job.  0 lets Runner::run trade
-  /// intra-job against inter-job parallelism the same way compileThreads
-  /// does (pool width / concurrent jobs) so a campaign never
-  /// oversubscribes; results are byte-identical for any value.
+  /// own `sim_threads=` key overrides per job.  0 means 1: the serial
+  /// core, which measured faster than sharding even for a one-job campaign
+  /// on an idle pool.  Parallelism across jobs is the pool's (threads).
+  /// Results are byte-identical for any value.
   std::uint32_t simThreads = 0;
 
   /// Simulator parameters shared by every job in the campaign.

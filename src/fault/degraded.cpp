@@ -54,10 +54,23 @@ DegradedTopology::DegradedTopology(const xgft::Topology& topo,
 bool DegradedTopology::routeBlocked(xgft::NodeIndex s, xgft::NodeIndex d,
                                     const xgft::Route& r) const {
   if (numFailed_ == 0) return false;
-  for (const xgft::Channel& ch : xgft::channelsOf(*topo_, s, d, r)) {
-    if (failed_[ch.link] != 0) return true;
+  // The links xgft::channelsOf would list, walked in place.  The walk never
+  // stops early, so a malformed route throws exactly where channelsOf
+  // would.
+  const xgft::Topology& topo = *topo_;
+  const std::uint32_t L = r.ncaLevel();
+  bool blocked = false;
+  xgft::NodeIndex node = s;
+  for (std::uint32_t i = 0; i < L; ++i) {
+    blocked |= failed_[topo.upLink(i, node, r.up[i])] != 0;
+    node = topo.parentIndex(i, node, r.up[i]);
   }
-  return false;
+  for (std::uint32_t j = L; j >= 1; --j) {
+    const std::uint32_t port = topo.digit(0, d, j);
+    blocked |= failed_[topo.downLink(j, node, port)] != 0;
+    node = topo.childIndex(j, node, port);
+  }
+  return blocked;
 }
 
 DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
@@ -81,15 +94,14 @@ DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
   // take the first clean minimal alternative in NCA-enumeration order
   // (deterministic, scheme-independent, and identical for any thread
   // count).  No alternative -> unreachable.
-  const auto routeFor =
-      [&](xgft::NodeIndex s,
-          xgft::NodeIndex d) -> std::optional<xgft::Route> {
-    xgft::Route route = r.route(s, d);
-    if (!degraded.routeBlocked(s, d, route)) return route;
+  const auto routeFor = [&](xgft::NodeIndex s, xgft::NodeIndex d,
+                            xgft::Route& route) {
+    r.route(s, d, route);
+    if (!degraded.routeBlocked(s, d, route)) return true;
     const xgft::Count ncas = topo.numNcas(s, d);
     for (xgft::Count c = 0; c < ncas; ++c) {
-      xgft::Route alt = xgft::routeViaNca(topo, s, d, c);
-      if (!degraded.routeBlocked(s, d, alt)) return alt;
+      xgft::routeViaNca(topo, s, d, c, route);
+      if (!degraded.routeBlocked(s, d, route)) return true;
     }
     if (policy == UnreachablePolicy::kThrow) {
       throw std::invalid_argument(
@@ -99,7 +111,7 @@ DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
           std::to_string(degraded.numFailed()) + " links failed)");
     }
     unreachable.add(s, d);
-    return std::nullopt;
+    return false;
   };
 
   out.table = core::CompiledRoutes::compileWith(std::move(router), routeFor,

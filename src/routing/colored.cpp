@@ -58,15 +58,16 @@ ColoredRouter::ColoredRouter(const Topology& topo,
   optimize(app);
 }
 
-Route ColoredRouter::route(NodeIndex s, NodeIndex d) const {
+void ColoredRouter::route(NodeIndex s, NodeIndex d, Route& out) const {
   const auto it = routes_.find(key(s, d));
-  if (it != routes_.end()) return it->second;
+  if (it != routes_.end()) {
+    out = it->second;
+    return;
+  }
   // D-mod-k fallback for pairs the pattern never exercises.
   const std::uint32_t L = topo_->ncaLevel(s, d);
-  Route r;
-  r.up.resize(L);
-  for (std::uint32_t i = 0; i < L; ++i) r.up[i] = fallback_.port(i, d);
-  return r;
+  out.up.resize(L);
+  for (std::uint32_t i = 0; i < L; ++i) out.up[i] = fallback_.port(i, d);
 }
 
 void ColoredRouter::optimize(const patterns::PhasedPattern& app) {

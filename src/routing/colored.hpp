@@ -60,7 +60,8 @@ class ColoredRouter final : public Router {
   ColoredRouter(const Topology& topo, const patterns::Pattern& pattern,
                 ColoredOptions options = {});
 
-  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
+  using Router::route;
+  void route(NodeIndex s, NodeIndex d, Route& out) const override;
   [[nodiscard]] std::string name() const override { return "colored"; }
   [[nodiscard]] bool isOblivious() const override { return false; }
 

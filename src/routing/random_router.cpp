@@ -4,10 +4,10 @@
 
 namespace routing {
 
-Route RandomRouter::route(NodeIndex s, NodeIndex d) const {
+void RandomRouter::route(NodeIndex s, NodeIndex d, Route& out) const {
   const xgft::Count choices = topo_->numNcas(s, d);
   const xgft::Count pick = xgft::hashMix(seed_, s, d) % choices;
-  return xgft::routeViaNca(*topo_, s, d, pick);
+  xgft::routeViaNca(*topo_, s, d, pick, out);
 }
 
 RouterPtr makeRandom(const Topology& topo, std::uint64_t seed) {

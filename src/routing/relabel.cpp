@@ -16,10 +16,14 @@ void RelabelScheme::buildGeometry() {
   contextCount_.resize(h);
   digitRadix_.resize(h);
   portRadix_.resize(h);
+  guidePlace_.resize(h);
   for (std::uint32_t l = 0; l < h; ++l) {
     const std::uint32_t pos = digitPosition(l);
     digitRadix_[l] = p.m(pos);
     portRadix_[l] = p.w(l + 1);
+    xgft::NodeIndex place = 1;
+    for (std::uint32_t j = 1; j < pos; ++j) place *= p.m(j);
+    guidePlace_[l] = xgft::Divisor(place);
     std::uint64_t ctx = 1;
     for (std::uint32_t j = pos + 1; j <= h; ++j) ctx *= p.m(j);
     contextCount_[l] = ctx;
@@ -95,13 +99,8 @@ RelabelScheme RelabelScheme::fromTables(
 
 std::uint32_t RelabelScheme::port(std::uint32_t level,
                                   xgft::NodeIndex guideLeaf) const {
-  const xgft::Params& p = topo_->params();
-  const std::uint32_t pos = digitPosition(level);
-  xgft::NodeIndex rest = guideLeaf;
-  for (std::uint32_t j = 1; j < pos; ++j) rest /= p.m(j);
-  const std::uint32_t digit = static_cast<std::uint32_t>(rest % p.m(pos));
-  const std::uint64_t context = rest / p.m(pos);
-  return tables_[level][context * digitRadix_[level] + digit];
+  // guideLeaf / place = context * digitRadix + digit: the table index.
+  return tables_[level][guidePlace_[level].quotient(guideLeaf)];
 }
 
 std::uint64_t RelabelScheme::contextCount(std::uint32_t level) const {
@@ -140,15 +139,13 @@ RelabelRouter::RelabelRouter(const Topology& topo, RelabelScheme scheme,
       guide_(guide),
       name_(std::move(name)) {}
 
-Route RelabelRouter::route(NodeIndex s, NodeIndex d) const {
+void RelabelRouter::route(NodeIndex s, NodeIndex d, Route& out) const {
   const std::uint32_t L = topo_->ncaLevel(s, d);
   const NodeIndex guideLeaf = guide_ == Guide::Source ? s : d;
-  Route r;
-  r.up.resize(L);
+  out.up.resize(L);
   for (std::uint32_t i = 0; i < L; ++i) {
-    r.up[i] = scheme_.port(i, guideLeaf);
+    out.up[i] = scheme_.port(i, guideLeaf);
   }
-  return r;
 }
 
 RouterPtr makeSModK(const Topology& topo) {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "routing/router.hpp"
+#include "xgft/divisor.hpp"
 #include "xgft/labels.hpp"
 
 namespace routing {
@@ -104,6 +105,9 @@ class RelabelScheme {
   std::vector<std::uint64_t> contextCount_;
   std::vector<std::uint32_t> digitRadix_;
   std::vector<std::uint32_t> portRadix_;
+  /// guidePlace_[l] = prod_{j < digitPosition(l)} m_j: dividing the guiding
+  /// leaf by it leaves context * digitRadix(l) + digit, the table index.
+  std::vector<xgft::Divisor> guidePlace_;
 };
 
 /// The generalized self-routing router: ascends by consulting the relabel
@@ -114,7 +118,8 @@ class RelabelRouter final : public Router {
   RelabelRouter(const Topology& topo, RelabelScheme scheme, Guide guide,
                 std::string name);
 
-  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
+  using Router::route;
+  void route(NodeIndex s, NodeIndex d, Route& out) const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
   [[nodiscard]] Guide guide() const { return guide_; }

@@ -10,6 +10,12 @@
 // Routes are computed on demand and are required to be deterministic:
 // calling route(s, d) twice returns the same route.  Randomized schemes
 // derive their choices from an explicit seed.
+//
+// A scheme implements exactly one virtual, route(s, d, out), which writes
+// into a caller-owned Route.  Table compilation calls it once per ordered
+// pair, so reusing one buffer per worker keeps the per-pair cost free of
+// heap traffic; the by-value route(s, d) is a convenience wrapper over the
+// same code path.
 #pragma once
 
 #include <memory>
@@ -33,9 +39,23 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// The minimal up/down route for the ordered pair (s, d).  Must be
-  /// deterministic.  s == d yields the empty route.
-  [[nodiscard]] virtual Route route(NodeIndex s, NodeIndex d) const = 0;
+  /// Writes the minimal up/down route for the ordered pair (s, d) into
+  /// @p out.  Contract for implementations:
+  ///  * overwrites @p out fully — whatever it held before (a longer or
+  ///    shorter stale route) has no effect on the result, only on which
+  ///    capacity gets reused;
+  ///  * deterministic — the same (s, d) always yields the same route, and
+  ///    s == d yields the empty route;
+  ///  * safe to call concurrently from several threads on one router, each
+  ///    with its own @p out (routers are immutable after construction).
+  virtual void route(NodeIndex s, NodeIndex d, Route& out) const = 0;
+
+  /// The route for (s, d) by value: route(s, d, out) into a fresh Route.
+  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const {
+    Route r;
+    route(s, d, r);
+    return r;
+  }
 
   /// Short identifier used in reports ("s-mod-k", "r-NCA-u", ...).
   [[nodiscard]] virtual std::string name() const = 0;

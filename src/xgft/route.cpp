@@ -19,19 +19,24 @@ NodeIndex ncaOf(const Topology& topo, NodeIndex s, const Route& r) {
 
 Route routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d,
                   Count choice) {
+  Route r;
+  routeViaNca(topo, s, d, choice, r);
+  return r;
+}
+
+void routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d, Count choice,
+                 Route& out) {
   const std::uint32_t L = topo.ncaLevel(s, d);
   if (choice >= topo.numNcas(s, d)) {
     throw std::out_of_range("routeViaNca: NCA choice out of range");
   }
-  Route r;
-  r.up.resize(L);
+  out.up.resize(L);
   Count rest = choice;
   for (std::uint32_t i = 0; i < L; ++i) {
     const std::uint32_t wi = topo.params().w(i + 1);
-    r.up[i] = static_cast<std::uint32_t>(rest % wi);
+    out.up[i] = static_cast<std::uint32_t>(rest % wi);
     rest /= wi;
   }
-  return r;
 }
 
 std::vector<Channel> channelsOf(const Topology& topo, NodeIndex s, NodeIndex d,

@@ -52,6 +52,11 @@ struct Hop {
 [[nodiscard]] Route routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d,
                                 Count choice);
 
+/// routeViaNca() into a caller-owned buffer: overwrites @p out completely,
+/// reusing its capacity.
+void routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d, Count choice,
+                 Route& out);
+
 /// The unidirectional channels traversed by route @p r from @p s to @p d:
 /// first the ascending channels (in order), then the descending ones.
 [[nodiscard]] std::vector<Channel> channelsOf(const Topology& topo,

@@ -4,8 +4,9 @@
 
 namespace xgft {
 
-Topology::Topology(Params params) : params_(std::move(params)) {
-  const std::uint32_t h = params_.height();
+Topology::Topology(Params params)
+    : params_(std::move(params)), height_(params_.height()) {
+  const std::uint32_t h = height_;
   nodesAt_.resize(h + 1);
   globalOffset_.resize(h + 1);
   upLinkBase_.resize(h);
@@ -24,61 +25,21 @@ Topology::Topology(Params params) : params_(std::move(params)) {
     base += nodesAt_[l] * params_.w(l + 1);
   }
   numLinks_ = base;
+  place_.resize(static_cast<std::size_t>(h + 1) * (h + 2));
+  radix_.resize(place_.size());
+  for (std::uint32_t l = 0; l <= h; ++l) {
+    Count place = 1;
+    for (std::uint32_t i = 1; i <= h; ++i) {
+      place_[slot(l, i)] = Divisor(place);
+      radix_[slot(l, i)] = Divisor(radix(l, i));
+      place *= radix(l, i);
+    }
+    place_[slot(l, h + 1)] = Divisor(place);
+  }
 }
 
-std::uint32_t Topology::digit(std::uint32_t level, NodeIndex idx,
-                              std::uint32_t i) const {
-  NodeIndex rest = idx;
-  for (std::uint32_t j = 1; j < i; ++j) rest /= radix(level, j);
-  return static_cast<std::uint32_t>(rest % radix(level, i));
-}
-
-NodeIndex Topology::parentIndex(std::uint32_t level, NodeIndex idx,
-                                std::uint32_t port) const {
-  const std::uint32_t h = params_.height();
-  if (level >= h) throw std::out_of_range("parentIndex: node has no parents");
-  if (port >= params_.w(level + 1)) {
-    throw std::out_of_range("parentIndex: parent port out of range");
-  }
-  // Decode with level-l radices, substitute digit (level+1) <- port, encode
-  // with level-(l+1) radices.  Digits 1..level keep their W radices, digits
-  // level+2..h keep their M radices, so only the strides around position
-  // level+1 change; we re-encode from scratch for clarity (h is tiny).
-  NodeIndex rest = idx;
-  NodeIndex result = 0;
-  Count stride = 1;
-  for (std::uint32_t i = 1; i <= h; ++i) {
-    const std::uint32_t rOld = radix(level, i);
-    const std::uint32_t dOld = static_cast<std::uint32_t>(rest % rOld);
-    rest /= rOld;
-    const std::uint32_t rNew = radix(level + 1, i);
-    const std::uint32_t dNew = (i == level + 1) ? port : dOld;
-    result += static_cast<Count>(dNew) * stride;
-    stride *= rNew;
-  }
-  return result;
-}
-
-NodeIndex Topology::childIndex(std::uint32_t level, NodeIndex idx,
-                               std::uint32_t childPort) const {
-  if (level == 0) throw std::out_of_range("childIndex: hosts have no children");
-  if (childPort >= params_.m(level)) {
-    throw std::out_of_range("childIndex: down port out of range");
-  }
-  const std::uint32_t h = params_.height();
-  NodeIndex rest = idx;
-  NodeIndex result = 0;
-  Count stride = 1;
-  for (std::uint32_t i = 1; i <= h; ++i) {
-    const std::uint32_t rOld = radix(level, i);
-    const std::uint32_t dOld = static_cast<std::uint32_t>(rest % rOld);
-    rest /= rOld;
-    const std::uint32_t rNew = radix(level - 1, i);
-    const std::uint32_t dNew = (i == level) ? childPort : dOld;
-    result += static_cast<Count>(dNew) * stride;
-    stride *= rNew;
-  }
-  return result;
+void Topology::rangeError(const char* what) {
+  throw std::out_of_range(what);
 }
 
 LinkId Topology::upLink(std::uint32_t level, NodeIndex child,
@@ -119,26 +80,6 @@ LinkInfo Topology::linkInfo(LinkId id) const {
     }
   }
   throw std::out_of_range("linkInfo: link id out of range");
-}
-
-std::uint32_t Topology::ncaLevel(NodeIndex s, NodeIndex d) const {
-  std::uint32_t level = 0;
-  NodeIndex rs = s;
-  NodeIndex rd = d;
-  for (std::uint32_t i = 1; i <= params_.height(); ++i) {
-    const std::uint32_t mi = params_.m(i);
-    if (rs % mi != rd % mi) level = i;
-    rs /= mi;
-    rd /= mi;
-  }
-  return level;
-}
-
-Count Topology::numNcas(NodeIndex s, NodeIndex d) const {
-  const std::uint32_t level = ncaLevel(s, d);
-  Count n = 1;
-  for (std::uint32_t j = 1; j <= level; ++j) n *= params_.w(j);
-  return n;
 }
 
 NodeAddr Topology::addrOf(GlobalNodeId id) const {

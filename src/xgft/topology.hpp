@@ -17,11 +17,21 @@
 //    parents is identified by LinkId; Channel = (LinkId, direction) names one
 //    of its two unidirectional halves.  Analysis code accumulates loads per
 //    Channel; the simulator maps Channels to queues.
+//
+//  * Label arithmetic.  A level-l index is the mixed-radix number whose
+//    digit i (1-based, least significant first) has radix w_i for i <= l
+//    and m_i above.  The constructor tabulates every level's place values
+//    (the product of the radices below position i) and radices as
+//    Divisors, so digit() is one division and one modulo, and
+//    parentIndex()/childIndex() replace the one digit that changes radix
+//    with two divisions, whatever the height — each a multiply by a
+//    precomputed reciprocal (xgft/divisor.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "xgft/divisor.hpp"
 #include "xgft/labels.hpp"
 #include "xgft/params.hpp"
 
@@ -61,7 +71,7 @@ struct LinkInfo {
   std::uint32_t childPort = 0;   ///< Which of the parent's children.
 };
 
-/// Concrete XGFT topology with precomputed strides for O(h) digit algebra.
+/// Concrete XGFT topology with tabulated place values for O(1) digit algebra.
 class Topology {
  public:
   explicit Topology(Params params);
@@ -79,6 +89,8 @@ class Topology {
   // --- digit algebra -------------------------------------------------------
 
   /// Digit at position i (1-based) of the level-l node with index @p idx.
+  /// @p level must be in [0, h] and @p i in [1, h] (std::out_of_range
+  /// otherwise).
   [[nodiscard]] std::uint32_t digit(std::uint32_t level, NodeIndex idx,
                                     std::uint32_t i) const;
 
@@ -158,8 +170,86 @@ class Topology {
   std::vector<Count> nodesAt_;       ///< nodesAt_[l], l in [0, h].
   std::vector<Count> globalOffset_;  ///< globalOffset_[l], l in [0, h].
   std::vector<LinkId> upLinkBase_;   ///< upLinkBase_[l], l in [0, h).
+  /// Position i of a level-l label lives at slot(l, i) of the two tables
+  /// below, i in [1, h + 1]: place_ holds the product of the radices below
+  /// position i (place_ at i = h + 1 is nodesAt_[l]), radix_ the radix of
+  /// position i (1 at i = h + 1).
+  std::vector<Divisor> place_;
+  std::vector<Divisor> radix_;
   Count numSwitches_ = 0;
   Count numLinks_ = 0;
+  std::uint32_t height_ = 0;
+
+  [[nodiscard]] std::size_t slot(std::uint32_t level, std::uint32_t i) const {
+    return static_cast<std::size_t>(level) * (height_ + 2) + i;
+  }
+  [[noreturn]] static void rangeError(const char* what);
 };
+
+// The label arithmetic is inline: route validation chains several of these
+// calls per hop, and every table compile runs it for every pair.
+
+inline std::uint32_t Topology::digit(std::uint32_t level, NodeIndex idx,
+                                     std::uint32_t i) const {
+  if (level > height_) rangeError("digit: level above the roots");
+  if (i == 0 || i > height_) rangeError("digit: position out of range");
+  const std::size_t k = slot(level, i);
+  return static_cast<std::uint32_t>(
+      radix_[k].remainder(place_[k].quotient(idx)));
+}
+
+inline NodeIndex Topology::parentIndex(std::uint32_t level, NodeIndex idx,
+                                       std::uint32_t port) const {
+  if (level >= height_) rangeError("parentIndex: node has no parents");
+  if (port >= radix_[slot(level + 1, level + 1)].value()) {
+    rangeError("parentIndex: parent port out of range");
+  }
+  // Only position level+1 changes radix (m_{level+1} -> w_{level+1}): the
+  // digits below it keep their place values, the ones above move to the
+  // parent level's place values, and the digit itself becomes the port.
+  // Both quotients divide idx itself, so they do not wait on each other.
+  const Divisor& below = place_[slot(level, level + 1)];
+  const NodeIndex low = below.remainder(idx);
+  const NodeIndex above = place_[slot(level, level + 2)].quotient(idx);
+  return low + port * below.value() +
+         above * place_[slot(level + 1, level + 2)].value();
+}
+
+inline NodeIndex Topology::childIndex(std::uint32_t level, NodeIndex idx,
+                                      std::uint32_t childPort) const {
+  if (level == 0) rangeError("childIndex: hosts have no children");
+  if (level > height_) rangeError("childIndex: level above the roots");
+  if (childPort >= radix_[slot(level - 1, level)].value()) {
+    rangeError("childIndex: down port out of range");
+  }
+  // The mirror of parentIndex: position level goes from w_level back to
+  // m_level, and its digit becomes the child's down-port.
+  const Divisor& below = place_[slot(level, level)];
+  const NodeIndex low = below.remainder(idx);
+  const NodeIndex above = place_[slot(level, level + 1)].quotient(idx);
+  return low + childPort * below.value() +
+         above * place_[slot(level - 1, level + 1)].value();
+}
+
+inline std::uint32_t Topology::ncaLevel(NodeIndex s, NodeIndex d) const {
+  // A leaf's digits are those of its index modulo N.  The quotient by the
+  // place value of position i holds digits i..h, so scanning from the top,
+  // the first position whose quotients differ is the highest differing
+  // digit.
+  const Divisor& hosts = place_[slot(0, height_ + 1)];
+  const NodeIndex rs = s < hosts.value() ? s : hosts.remainder(s);
+  const NodeIndex rd = d < hosts.value() ? d : hosts.remainder(d);
+  for (std::uint32_t i = height_; i >= 1; --i) {
+    const Divisor& place = place_[slot(0, i)];
+    if (place.quotient(rs) != place.quotient(rd)) return i;
+  }
+  return 0;
+}
+
+inline Count Topology::numNcas(NodeIndex s, NodeIndex d) const {
+  // Level-h labels have radix w_j at every position, so the place value of
+  // position L + 1 there is prod_{j=1..L} w_j.
+  return place_[slot(height_, ncaLevel(s, d) + 1)].value();
+}
 
 }  // namespace xgft

@@ -194,5 +194,26 @@ TEST(Runner, ThreadCountDefaultsAndClamping) {
   EXPECT_TRUE(results.jobs.at(0).ok);
 }
 
+TEST(Runner, OneJobCampaignDefaultsToTheSerialEventCore) {
+  // An idle pool no longer shards a lone job's event core: sim_threads
+  // defaults to 1, and an explicit budget is still honoured (with
+  // identical CSV bytes either way).
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "m1=8 m2=8 w2=2 source=poisson:uniform load=0.3 msg_scale=0.0625 "
+      "routing=d-mod-k seed=1\n");
+  ASSERT_EQ(specs.size(), 1u);
+  RunnerOptions opt;
+  opt.threads = 4;
+  opt.openLoopWarmupNs = 10'000;
+  opt.openLoopMeasureNs = 30'000;
+  const CampaignResults serial = Runner(opt).run(specs);
+  EXPECT_EQ(serial.simThreadsUsed, 1u);
+  ASSERT_TRUE(serial.jobs.at(0).ok) << serial.jobs.at(0).error;
+  opt.simThreads = 3;
+  const CampaignResults sharded = Runner(opt).run(specs);
+  EXPECT_EQ(sharded.simThreadsUsed, 3u);
+  EXPECT_EQ(sharded.toCsv(), serial.toCsv());
+}
+
 }  // namespace
 }  // namespace engine

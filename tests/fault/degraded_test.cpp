@@ -158,6 +158,83 @@ TEST(DegradedRouting, CompressedLayoutMatchesFlatAroundFailures) {
   }
 }
 
+/// The blocked verdict routeBlocked gave when it materialized the route's
+/// channel list: any listed channel's link failed.
+bool blockedByChannelList(const DegradedTopology& view, const Topology& topo,
+                          xgft::NodeIndex s, xgft::NodeIndex d,
+                          const xgft::Route& r) {
+  for (const xgft::Channel& ch : xgft::channelsOf(topo, s, d, r)) {
+    if (view.linkFailed(ch.link)) return true;
+  }
+  return false;
+}
+
+TEST(DegradedTopology, RouteBlockedMatchesChannelListOnEveryRoute) {
+  for (const xgft::Params& p :
+       {xgft::Params({4, 4}, {2, 2}), xgft::Params({2, 3, 2}, {2, 2, 3})}) {
+    const Topology topo(p);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(p.toString() + " seed " + std::to_string(seed));
+      const FaultPlan plan = makeFaultPlan("links:25", topo, seed);
+      const DegradedTopology view(topo, plan.failedAt(0));
+      ASSERT_GT(view.numFailed(), 0u);
+      for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
+        for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
+          for (xgft::Count c = 0; c < topo.numNcas(s, d); ++c) {
+            const xgft::Route r = xgft::routeViaNca(topo, s, d, c);
+            ASSERT_EQ(view.routeBlocked(s, d, r),
+                      blockedByChannelList(view, topo, s, d, r))
+                << s << " -> " << d << " via NCA " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DegradedRouting, TablesMatchChannelListReferencePairForPair) {
+  // compileDegraded's per-pair rule, recomputed with the channel-list
+  // verdict: the scheme's own route when clean, else the first clean NCA
+  // in enumeration order, else unreachable.
+  for (const xgft::Params& p :
+       {xgft::Params({4, 4}, {2, 2}), xgft::Params({2, 3, 2}, {2, 2, 3})}) {
+    const Topology topo(p);
+    const FaultPlan plan = makeFaultPlan("links:25", topo, 4);
+    const DegradedTopology view(topo, plan.failedAt(0));
+    for (const char* scheme : {"d-mod-k", "s-mod-k", "Random", "r-NCA-u"}) {
+      const auto router = buildScheme(scheme, topo);
+      for (const core::TableLayout layout :
+           {core::TableLayout::kFlat, core::TableLayout::kCompressed}) {
+        SCOPED_TRACE(p.toString() + " " + scheme +
+                     (layout == core::TableLayout::kFlat ? " flat"
+                                                         : " compressed"));
+        const DegradedRoutes degraded = compileDegraded(
+            router, view, UnreachablePolicy::kDrop, 2, layout);
+        std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> unreachable;
+        for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
+          for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
+            if (s == d) continue;
+            xgft::Route want = router->route(s, d);
+            bool found = !blockedByChannelList(view, topo, s, d, want);
+            for (xgft::Count c = 0; !found && c < topo.numNcas(s, d); ++c) {
+              want = xgft::routeViaNca(topo, s, d, c);
+              found = !blockedByChannelList(view, topo, s, d, want);
+            }
+            ASSERT_EQ(degraded.table->unroutable(s, d), !found)
+                << s << " -> " << d;
+            if (!found) {
+              unreachable.emplace_back(s, d);
+              continue;
+            }
+            ASSERT_EQ(degraded.table->route(s, d), want) << s << " -> " << d;
+          }
+        }
+        EXPECT_EQ(degraded.unreachable, unreachable);
+      }
+    }
+  }
+}
+
 TEST(DegradedRouting, HealthyRoutesAreKeptVerbatim) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   const auto router = buildScheme("d-mod-k", topo);

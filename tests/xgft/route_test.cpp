@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
+
+#include "reference_labels.hpp"
 
 namespace xgft {
 namespace {
@@ -141,6 +145,78 @@ TEST(Route, AllRoutesAreMinimal) {
       EXPECT_EQ(channelsOf(t, s, d, r).size(), 2u * t.ncaLevel(s, d));
     }
   }
+}
+
+/// Calls @p visit with every candidate route of length 0..h+1 whose port
+/// at level i lies in [0, w_{i+1}], one past the valid range (level h has
+/// no up-ports; its candidates take ports 0 and 1).
+template <typename Visit>
+void forEachCandidate(const Params& p, Visit visit) {
+  const std::uint32_t h = p.height();
+  for (std::uint32_t len = 0; len <= h + 1; ++len) {
+    Route r;
+    r.up.assign(len, 0);
+    for (;;) {
+      visit(r);
+      std::uint32_t i = 0;
+      for (; i < len; ++i) {  // Odometer step over the port vector.
+        const std::uint32_t top = i < h ? p.w(i + 1) : 1;
+        if (r.up[i] < top) {
+          ++r.up[i];
+          break;
+        }
+        r.up[i] = 0;
+      }
+      if (i == len) break;
+    }
+  }
+}
+
+TEST(Route, ValidateMatchesReferenceOnEveryCandidateRoute) {
+  const std::vector<Params> shapes = {
+      Params({2, 3, 2}, {2, 2, 3}), Params({1, 2, 2}, {2, 1, 2}),
+      Params({3, 2}, {1, 3}), karyNTree(2, 3), xgft2(4, 4, 2)};
+  for (const Params& p : shapes) {
+    SCOPED_TRACE(p.toString());
+    const Topology t(p);
+    std::size_t accepted = 0;
+    for (NodeIndex s = 0; s < t.numHosts(); ++s) {
+      for (NodeIndex d = 0; d < t.numHosts(); ++d) {
+        forEachCandidate(p, [&](const Route& r) {
+          std::string got = "unset";
+          std::string want = "unset";
+          const bool ok = validateRoute(t, s, d, r, &got);
+          ASSERT_EQ(ok, reference::validateRoute(p, s, d, r, &want))
+              << s << " -> " << d << " route of length " << r.ncaLevel();
+          ASSERT_EQ(got, want);
+          ASSERT_EQ(validateRoute(t, s, d, r), ok);
+          accepted += ok ? 1 : 0;
+        });
+      }
+    }
+    // Exactly one accepted candidate per NCA of every pair.
+    std::size_t ncas = 0;
+    for (NodeIndex s = 0; s < t.numHosts(); ++s) {
+      for (NodeIndex d = 0; d < t.numHosts(); ++d) ncas += t.numNcas(s, d);
+    }
+    EXPECT_EQ(accepted, ncas);
+  }
+}
+
+TEST(Route, RouteViaNcaIntoBufferMatchesByValue) {
+  const Topology t(Params({2, 3, 2}, {2, 2, 3}));
+  Route buffer;
+  buffer.up.assign(t.height() + 3, 99);  // Longer stale content.
+  for (NodeIndex s = 0; s < t.numHosts(); ++s) {
+    for (NodeIndex d = 0; d < t.numHosts(); ++d) {
+      for (Count c = 0; c < t.numNcas(s, d); ++c) {
+        routeViaNca(t, s, d, c, buffer);
+        ASSERT_EQ(buffer, routeViaNca(t, s, d, c));
+      }
+    }
+  }
+  EXPECT_THROW(routeViaNca(t, 0, 11, t.numNcas(0, 11), buffer),
+               std::out_of_range);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "reference_labels.hpp"
+#include "xgft/rng.hpp"
 
 namespace xgft {
 namespace {
@@ -166,6 +170,103 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(karyNTree(2, 4), xgft2(16, 16, 5),
                       Params({4, 3, 2}, {1, 2, 3}),
                       Params({2, 3, 4}, {2, 3, 4})));
+
+// ---- Tabulated label arithmetic against the loop reference -------------
+
+/// Seeded random shapes, h = 1..4 in turn, with m_i and w_i in [1, 4]: the
+/// draw hits w_1 > 1 and m_i = 1 often; two fixed shapes pin both cases.
+std::vector<Params> randomShapes(std::uint64_t seed, std::size_t count) {
+  std::vector<Params> shapes = {Params({3, 1, 2}, {2, 2, 1}),
+                                Params({1, 4}, {3, 1})};
+  Rng rng(seed);
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint32_t h = 1 + static_cast<std::uint32_t>(k % 4);
+    std::vector<std::uint32_t> m(h);
+    std::vector<std::uint32_t> w(h);
+    for (std::uint32_t i = 0; i < h; ++i) {
+      m[i] = 1 + static_cast<std::uint32_t>(rng.below(4));
+      w[i] = 1 + static_cast<std::uint32_t>(rng.below(4));
+    }
+    shapes.emplace_back(m, w);
+  }
+  return shapes;
+}
+
+TEST(TopologyArithmetic, RandomShapesCoverWideHostsAndUnitChildCounts) {
+  bool wideHosts = false;
+  bool unitChildren = false;
+  for (const Params& p : randomShapes(7, 120)) {
+    wideHosts |= p.w(1) > 1;
+    for (std::uint32_t i = 1; i <= p.height(); ++i) unitChildren |= p.m(i) == 1;
+  }
+  EXPECT_TRUE(wideHosts);
+  EXPECT_TRUE(unitChildren);
+}
+
+TEST(TopologyArithmetic, MatchesLoopReferenceOnEveryNodePortAndDigit) {
+  for (const Params& p : randomShapes(7, 120)) {
+    SCOPED_TRACE(p.toString());
+    const Topology t(p);
+    const std::uint32_t h = t.height();
+    for (std::uint32_t l = 0; l <= h; ++l) {
+      for (NodeIndex idx = 0; idx < t.nodesAtLevel(l); ++idx) {
+        for (std::uint32_t i = 1; i <= h; ++i) {
+          ASSERT_EQ(t.digit(l, idx, i), reference::digit(p, l, idx, i))
+              << "level " << l << " node " << idx << " digit " << i;
+        }
+        if (l < h) {
+          for (std::uint32_t port = 0; port < p.w(l + 1); ++port) {
+            ASSERT_EQ(t.parentIndex(l, idx, port),
+                      reference::parentIndex(p, l, idx, port))
+                << "level " << l << " node " << idx << " port " << port;
+          }
+        }
+        if (l > 0) {
+          for (std::uint32_t c = 0; c < p.m(l); ++c) {
+            ASSERT_EQ(t.childIndex(l, idx, c),
+                      reference::childIndex(p, l, idx, c))
+                << "level " << l << " node " << idx << " child " << c;
+          }
+        }
+      }
+    }
+    for (NodeIndex s = 0; s < t.numHosts(); ++s) {
+      for (NodeIndex d = 0; d < t.numHosts(); ++d) {
+        const std::uint32_t level = reference::ncaLevel(p, s, d);
+        ASSERT_EQ(t.ncaLevel(s, d), level) << s << " -> " << d;
+        Count ncas = 1;
+        for (std::uint32_t j = 1; j <= level; ++j) ncas *= p.w(j);
+        ASSERT_EQ(t.numNcas(s, d), ncas) << s << " -> " << d;
+      }
+    }
+  }
+}
+
+TEST(TopologyArithmetic, OutOfRangePortsAndLevelsThrow) {
+  for (const Params& p : randomShapes(11, 40)) {
+    SCOPED_TRACE(p.toString());
+    const Topology t(p);
+    const std::uint32_t h = t.height();
+    for (std::uint32_t l = 0; l <= h; ++l) {
+      EXPECT_THROW((void)t.digit(l, 0, 0), std::out_of_range);
+      EXPECT_THROW((void)t.digit(l, 0, h + 1), std::out_of_range);
+      if (l < h) {
+        EXPECT_THROW((void)t.parentIndex(l, 0, p.w(l + 1)), std::out_of_range);
+        EXPECT_THROW((void)t.upLink(l, 0, p.w(l + 1)), std::out_of_range);
+      }
+      if (l > 0) {
+        EXPECT_THROW((void)t.childIndex(l, 0, p.m(l)), std::out_of_range);
+      }
+    }
+    EXPECT_THROW((void)t.digit(h + 1, 0, 1), std::out_of_range);
+    EXPECT_THROW((void)t.parentIndex(h, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)t.parentIndex(h + 1, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)t.childIndex(0, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)t.childIndex(h + 1, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)t.upLink(h, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)t.downLink(0, 0, 0), std::out_of_range);
+  }
+}
 
 }  // namespace
 }  // namespace xgft
