@@ -138,20 +138,15 @@ void BM_EventCoreChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventCoreChurn)->Arg(8)->Arg(256)->Arg(4096);
 
-void BM_ParallelRun(benchmark::State& state) {
-  // The sharded event core (sim/shard.hpp) against the serial baseline on
-  // the paper's 160-host fabric near the saturation knee: an open-loop
-  // Poisson uniform stream, the loadsweep campaign's inner loop.  Arg is
-  // sim_threads; 1 is the serial reference path.  Results are pinned
-  // byte-identical across args by tests/engine/parallel_identity_test.cpp,
-  // so this measures pure engine cost.  items = simulator events.
-  const auto simThreads = static_cast<std::uint32_t>(state.range(0));
+void BM_OpenLoopPoisson160(benchmark::State& state) {
+  // The paper's 160-host fabric near the saturation knee: an open-loop
+  // Poisson uniform stream at load 0.7, the loadsweep campaign's inner
+  // loop, end to end through trace::runOpenLoop.  items = simulator events.
   const xgft::Topology topo(xgft::xgft2(16, 16, 10));
   const routing::RouterPtr router = routing::makeDModK(topo);
   trace::OpenLoopOptions opt;
   opt.warmupNs = 50'000;
   opt.measureNs = 300'000;
-  opt.simThreads = simThreads;
   std::uint64_t events = 0;
   for (auto _ : state) {
     patterns::OpenLoopConfig cfg;
@@ -168,7 +163,7 @@ void BM_ParallelRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = simulator events");
 }
-BENCHMARK(BM_ParallelRun)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_OpenLoopPoisson160)->Unit(benchmark::kMillisecond);
 
 void BM_NetworkConstruction(benchmark::State& state) {
   const auto k = static_cast<std::uint32_t>(state.range(0));

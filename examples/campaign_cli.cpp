@@ -44,8 +44,7 @@ struct CliOptions {
   std::string outFile;
   std::string list;           // One of: schemes, patterns, sources, faults,
                               // topologies, campaigns ("" = no listing).
-  std::uint32_t threads = 0;     // 0 = hardware concurrency.
-  std::uint32_t simThreads = 0;  // 0 = serial event core per job.
+  std::uint32_t threads = 0;  // 0 = hardware concurrency.
   std::uint32_t seeds = 10;
   double msgScale = 0.125;
   bool contention = true;
@@ -71,17 +70,6 @@ void usage(std::ostream& os) {
      << joinNames(*engine::campaignRegistry().names())
      << "\n"
         "  --threads N       worker threads (default: hardware concurrency)\n"
-        "  --sim-threads N   shard workers inside each job's event core\n"
-        "                    (sim/shard.hpp).  --threads splits the campaign\n"
-        "                    across jobs; --sim-threads splits one job's\n"
-        "                    simulation.  Default: 1, the serial core, for\n"
-        "                    every job (sharding measured slower, even for\n"
-        "                    a one-job campaign on an idle pool).\n"
-        "                    A spec's own sim_threads= key overrides this\n"
-        "                    per job.  Results are byte-identical for any\n"
-        "                    value; the engine falls back to the serial core\n"
-        "                    when sharding cannot help (closed-loop jobs,\n"
-        "                    fault plans, telemetry probes, small topos).\n"
         "  --seeds N         seed-sweep width of builtin campaigns "
         "(default 10)\n"
         "  --msg-scale X     message-size scale of builtin campaigns "
@@ -164,6 +152,27 @@ int listRegistry(const std::string& what) {
   return 0;
 }
 
+/// Numeric flag values parse as whole tokens with the spec layer's
+/// strictness: "4x", "-1", "nan" and out-of-range values are errors, not
+/// silently truncated or wrapped.
+std::uint32_t flagU32(const std::string& flag, const std::string& value) {
+  std::uint64_t v = 0;
+  if (!engine::parseU64(value, v) || v > 0xffffffffULL) {
+    throw std::invalid_argument(flag + " wants an integer in [0, 2^32), got '" +
+                                value + "'");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+double flagPositiveDouble(const std::string& flag, const std::string& value) {
+  double v = 0.0;
+  if (!engine::parseFiniteDouble(value, v) || v <= 0.0) {
+    throw std::invalid_argument(flag + " wants a finite number > 0, got '" +
+                                value + "'");
+  }
+  return v;
+}
+
 CliOptions parseCli(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -177,14 +186,14 @@ CliOptions parseCli(int argc, char** argv) {
     if (arg == "--builtin") {
       opt.builtin = next("--builtin");
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::uint32_t>(std::stoul(next("--threads")));
-    } else if (arg == "--sim-threads") {
-      opt.simThreads =
-          static_cast<std::uint32_t>(std::stoul(next("--sim-threads")));
+      opt.threads = flagU32(arg, next("--threads"));
     } else if (arg == "--seeds") {
-      opt.seeds = static_cast<std::uint32_t>(std::stoul(next("--seeds")));
+      opt.seeds = flagU32(arg, next("--seeds"));
+      if (opt.seeds == 0) {
+        throw std::invalid_argument("--seeds wants at least 1 seed");
+      }
     } else if (arg == "--msg-scale") {
-      opt.msgScale = std::stod(next("--msg-scale"));
+      opt.msgScale = flagPositiveDouble(arg, next("--msg-scale"));
     } else if (arg == "--out") {
       opt.outFile = next("--out");
     } else if (arg == "--telemetry") {
@@ -321,7 +330,6 @@ int main(int argc, char** argv) {
 
     engine::RunnerOptions ropt;
     ropt.threads = cli.threads;
-    ropt.simThreads = cli.simThreads;
     ropt.collectContention = cli.contention;
     // Telemetry floors: --trace-out needs the event log, --telemetry the
     // summary series; a spec's own telemetry= key can only raise a job

@@ -172,7 +172,6 @@ std::string manifestToJson(const CampaignResults& results,
   json.u64("jobs", results.jobs.size());
   if (opt.includeHost) {
     json.u64("threads", results.threadsUsed);
-    json.u64("sim_threads", results.simThreadsUsed);
     json.dbl("wall_ms", static_cast<double>(results.wallTimeNs) / 1e6);
   }
   json.openKeyed("cache", "{");

@@ -108,10 +108,10 @@ struct CampaignResults {
   std::vector<JobResult> jobs;  ///< Sorted by jobIndex after run().
 
   std::uint32_t threadsUsed = 0;
-  /// Per-job shard-worker budget the pool settled on: 1 unless
-  /// RunnerOptions::simThreads asked for more (specs' own sim_threads= keys
-  /// override per job).  Host-volatile, like threadsUsed.
-  std::uint32_t simThreadsUsed = 0;
+  /// Retired: always 1, the event core is serial.  Kept only because the
+  /// perfbench driver still reads it.  Deleted by the ROADMAP item "Next
+  /// benchmark change: drop the sim-thread remnants".
+  std::uint32_t simThreadsUsed = 1;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;
   ForwardingStats forwarding;  ///< Empty unless compressed tables were used.

@@ -315,11 +315,6 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   trace::OpenLoopOptions ol;
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
-  // The spec's own sim_threads= wins; otherwise the runner's budget
-  // (serial by default) applies.  Either way the result bytes cannot
-  // depend on it.
-  ol.simThreads =
-      spec.simThreads != 0 ? spec.simThreads : std::max(1u, opt.simThreads);
   ol.spray = sprayCfg;
   ol.compiled = degradedTable ? degradedTable.get() : compiled.get();
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
@@ -504,6 +499,11 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
 Runner::Runner(RunnerOptions opt) : opt_(std::move(opt)) {}
 
 CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
+  if (opt_.simThreads > 1) {
+    throw std::invalid_argument(
+        "Runner: simThreads " + std::to_string(opt_.simThreads) +
+        " > 1, but the event core is serial (use threads for parallelism)");
+  }
   const auto start = std::chrono::steady_clock::now();
   CampaignResults results;
   results.jobs.resize(specs.size());
@@ -523,12 +523,6 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   // blow-up).
   RunnerOptions jobOpt = opt_;
   jobOpt.compileThreads = std::max(1u, poolWidth / threads);
-  // The event core runs serially unless a budget is asked for: sharding a
-  // job measured slower than the serial core on every tier (a one-job
-  // open-loop campaign took ~3x as long on 4 shards, with identical
-  // bytes).  An explicit --sim-threads budget, or a spec's own
-  // sim_threads= key, wins.
-  if (jobOpt.simThreads == 0) jobOpt.simThreads = 1;
 
   core::Mutex doneMu;  // Serializes onJobDone.
   const auto finishJob = [&](std::uint32_t index) {
@@ -604,7 +598,6 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
 
   results.sortByIndex();
   results.threadsUsed = threads;
-  results.simThreadsUsed = jobOpt.simThreads;
   results.cache = cache_.stats();
   results.forwarding = cache_.forwardingStats();
   results.wallTimeNs = static_cast<std::uint64_t>(

@@ -154,11 +154,10 @@ struct RunnerOptions {
   /// compiles serially per worker instead of oversubscribing the machine.
   std::uint32_t compileThreads = 1;
 
-  /// Shard workers one job's event core may use (sim/shard.hpp); a spec's
-  /// own `sim_threads=` key overrides per job.  0 means 1: the serial
-  /// core, which measured faster than sharding even for a one-job campaign
-  /// on an idle pool.  Parallelism across jobs is the pool's (threads).
-  /// Results are byte-identical for any value.
+  /// Retired: the event core is serial and parallelism lives across jobs
+  /// (threads).  Kept only because the perfbench driver still assigns it;
+  /// Runner::run rejects values above 1.  Deleted by the ROADMAP item
+  /// "Next benchmark change: drop the sim-thread remnants".
   std::uint32_t simThreads = 0;
 
   /// Simulator parameters shared by every job in the campaign.
@@ -201,7 +200,8 @@ class Runner {
   explicit Runner(RunnerOptions opt = {});
 
   /// Runs every spec; returns once all jobs finished.  Safe to call
-  /// repeatedly — later campaigns reuse the warm cache.
+  /// repeatedly — later campaigns reuse the warm cache.  Throws
+  /// std::invalid_argument if RunnerOptions::simThreads is above 1.
   [[nodiscard]] CampaignResults run(const std::vector<ExperimentSpec>& specs);
 
   [[nodiscard]] CampaignCache& cache() { return cache_; }

@@ -1,6 +1,7 @@
 #include "engine/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -9,17 +10,26 @@
 
 namespace engine {
 
-namespace {
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::invalid_argument("campaign spec: " + what);
-}
-
 bool parseU64(std::string_view s, std::uint64_t& out) {
   const char* begin = s.data();
   const char* end = s.data() + s.size();
   const auto [p, ec] = std::from_chars(begin, end, out);
   return ec == std::errc{} && p == end;
+}
+
+bool parseFiniteDouble(std::string_view s, double& out) {
+  const char* begin = s.data();
+  const char* end = s.data() + s.size();
+  const auto [p, ec] = std::from_chars(begin, end, out);
+  // from_chars accepts "nan" and "inf"; NaN slips past every range check
+  // (it compares false) and infinity overflows later integer casts.
+  return ec == std::errc{} && p == end && std::isfinite(out);
+}
+
+namespace {
+
+[[noreturn]] void fail(const std::string& what) {
+  throw std::invalid_argument("campaign spec: " + what);
 }
 
 std::uint64_t requireU64(const std::string& value, const std::string& key) {
@@ -37,11 +47,8 @@ std::uint32_t requireU32(const std::string& value, const std::string& key) {
 
 double requireDouble(const std::string& value, const std::string& key) {
   double v = 0.0;
-  const char* begin = value.data();
-  const char* end = value.data() + value.size();
-  const auto [p, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || p != end) {
-    fail("'" + key + "' wants a number, got '" + value + "'");
+  if (!parseFiniteDouble(value, v)) {
+    fail("'" + key + "' wants a finite number, got '" + value + "'");
   }
   return v;
 }
@@ -188,16 +195,12 @@ ExperimentSpec specFromAssignments(
       }
     } else if (key == "telemetry") {
       spec.telemetry = parseTelemetryLevel(value);
-    } else if (key == "sim_threads") {
-      // Host-volatile knob: affects wall-clock only, never results, so it
-      // takes no part in toLine()/CSV/manifest identity.
-      spec.simThreads = requireU32(value, key);
     } else {
       // Mirror the registries' uniform unknown-name diagnostic so every
       // bad token in a campaign file reads the same way.
       fail("unknown campaign key '" + key +
            "' (known: topo, m1, m2, w2, pattern, source, load, routing, "
-           "msg_scale, seed, faults, telemetry, sim_threads)");
+           "msg_scale, seed, faults, telemetry)");
     }
   }
   if (haveTopo && haveFamily) {

@@ -58,6 +58,13 @@ enum class TelemetryLevel : std::uint8_t {
   kTrace = 2,    ///< kSummary plus the per-event log for Chrome traces.
 };
 
+/// Whole-token number parsing with the spec layer's strictness: the token
+/// is the number and nothing else (no sign on integers, no surrounding
+/// text), and a double must be finite.  Spec keys and campaign_cli's
+/// numeric flags share these, so both front doors accept the same tokens.
+[[nodiscard]] bool parseU64(std::string_view s, std::uint64_t& out);
+[[nodiscard]] bool parseFiniteDouble(std::string_view s, double& out);
+
 /// Parses "off"/"summary"/"trace"; throws std::invalid_argument otherwise.
 [[nodiscard]] TelemetryLevel parseTelemetryLevel(const std::string& value);
 [[nodiscard]] std::string_view telemetryLevelName(TelemetryLevel level);
@@ -90,22 +97,8 @@ struct ExperimentSpec {
   /// golden CSVs are untouched.
   TelemetryLevel telemetry = TelemetryLevel::kOff;
 
-  /// Shard workers for this job's event core (`sim_threads=` key).
-  /// Host-volatile, like RunnerOptions::threads: 0 inherits the runner's
-  /// choice, any value yields byte-identical results (sim/shard.hpp), so
-  /// toLine() never renders it and it stays out of CSVs and the manifest
-  /// byte-identity form.
-  std::uint32_t simThreads = 0;
-
-  /// Equality is over the *measured* configuration: simThreads is excluded
-  /// (results are identical across values, toLine() drops it, and result
-  /// lookup by spec must not fork on a wall-clock knob).
-  friend bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
-    return a.topo == b.topo && a.pattern == b.pattern &&
-           a.routing == b.routing && a.msgScale == b.msgScale &&
-           a.seed == b.seed && a.source == b.source && a.load == b.load &&
-           a.faults == b.faults && a.telemetry == b.telemetry;
-  }
+  friend bool operator==(const ExperimentSpec&,
+                         const ExperimentSpec&) = default;
 
   /// Canonical one-line key=value rendering; parseSpecLine round-trips it.
   [[nodiscard]] std::string toLine() const;

@@ -76,13 +76,6 @@ class TrafficSource {
 
   /// A previously requested kWake timer (its `token` cookie) fired.
   virtual void onWake(std::uint64_t cookie, sim::TimeNs now);
-
-  /// A source that returns true promises onDelivered() never produces new
-  /// work: its pull sequence is a pure function of simulated time, not of
-  /// completions.  The parallel engine (sim/shard.hpp) uses this to decide
-  /// whether sink notifications can be deferred to window barriers;
-  /// closed-loop sources (replay, kBlocked users) keep the default false.
-  [[nodiscard]] virtual bool passiveDeliveries() const { return false; }
 };
 
 /// How an open-loop source spaces injections.
@@ -134,10 +127,6 @@ class OpenLoopSource final : public TrafficSource {
 
   [[nodiscard]] Rank numRanks() const override { return cfg_.numRanks; }
   [[nodiscard]] Pull pull(sim::TimeNs now, SourceMessage& out) override;
-
-  /// Arrivals are a pure function of (seed, time): open-loop streams never
-  /// block on completions, so deliveries are deferrable.
-  [[nodiscard]] bool passiveDeliveries() const override { return true; }
 
   /// Messages emitted so far.
   [[nodiscard]] std::uint64_t emitted() const { return emitted_; }

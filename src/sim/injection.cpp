@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/shard.hpp"
-
 namespace sim {
 
 InjectionProcess::InjectionProcess(Network& net,
@@ -100,11 +98,7 @@ void InjectionProcess::onMessageDelivered(MsgId msg, TimeNs time) {
 
 void InjectionProcess::run(TimeNs until) {
   pump();
-  if (simThreads_ > 1) {
-    runParallel(*net_, until, simThreads_);
-  } else {
-    net_->run(until);
-  }
+  net_->run(until);
 }
 
 }  // namespace sim

@@ -277,7 +277,6 @@ void Network::scheduleLinkDown(TimeNs t, xgft::LinkId link) {
   if (t < now_) {
     throw std::invalid_argument("scheduleLinkDown: time in the past");
   }
-  faultEventsScheduled_ = true;
   schedule(t, Kind::kLinkDown, static_cast<std::uint32_t>(link));
 }
 
@@ -291,7 +290,6 @@ void Network::scheduleLinkUp(TimeNs t, xgft::LinkId link) {
   if (t < now_) {
     throw std::invalid_argument("scheduleLinkUp: time in the past");
   }
-  faultEventsScheduled_ = true;
   schedule(t, Kind::kLinkUp, static_cast<std::uint32_t>(link));
 }
 
@@ -323,10 +321,6 @@ void Network::run(TimeNs until) {
     handle(ev);
     ++stats_.eventsProcessed;
   }
-  finishRun();
-}
-
-void Network::finishRun() {
   // Stats are valid at every run() boundary: fold pending outage time in.
   if (!downLinks_.empty()) accrueLinkDownTo(now_);
   if (queue_.empty()) {

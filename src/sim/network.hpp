@@ -95,14 +95,6 @@ class TrafficSink {
  public:
   virtual ~TrafficSink() = default;
   virtual void onMessageDelivered(MsgId msg, TimeNs time) = 0;
-
-  /// A sink that returns true promises onMessageDelivered never mutates the
-  /// network (no release/addMessage*/scheduleCallback, no run) — it only
-  /// records the completion.  The parallel runner (shard.hpp) relies on this
-  /// to defer sink notifications to deterministic flush points; sinks that
-  /// drive the simulation (closed-loop replay) keep the default false and
-  /// force the serial engine.
-  [[nodiscard]] virtual bool deliveriesDeferrable() const { return false; }
 };
 
 /// Aggregate counters exposed after (or during) a run.
@@ -315,11 +307,6 @@ class Network {
   }
 
  private:
-  /// The conservative parallel engine (shard.hpp) replicates the healthy-run
-  /// handlers over sharded port state and must reach the flat storage and
-  /// the private helpers; it is the only other writer of network state.
-  friend class ParallelRunner;
-
   /// Intrusive-list terminator for segment/message/port links.
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
@@ -414,9 +401,6 @@ class Network {
   void handle(const EventRecord& ev);
   /// (Re)schedules the probe's next sampling tick at now_ + period.
   void scheduleSample();
-  /// The run() epilogue shared with the parallel engine: accrues pending
-  /// link-outage time and performs the stranded-traffic drain check.
-  void finishRun();
 
   void handleRelease(MsgId msg);
   void handleWireArrive(std::uint32_t gInPort, std::uint32_t seg);
@@ -559,11 +543,6 @@ class Network {
   std::vector<DownLink> downLinks_;
   FaultPolicy faultPolicy_ = FaultPolicy::kWait;
   bool faultsSeen_ = false;  ///< Any kLinkDown ever processed.
-  /// Any kLinkDown/kLinkUp ever *scheduled* — sticky, set at schedule time.
-  /// The parallel engine keys off this: pending fault transitions shrink the
-  /// guaranteed lookahead to zero, so it falls back (or aborts mid-run) to
-  /// the serial core the moment one appears.
-  bool faultEventsScheduled_ = false;
 };
 
 /// Wire utilization over @p spanNs from Network::wireBusyNs: the busy

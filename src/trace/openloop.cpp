@@ -21,6 +21,11 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
   if (opt.measureNs == 0) {
     throw std::invalid_argument("runOpenLoop: empty measurement window");
   }
+  if (opt.simThreads > 1) {
+    throw std::invalid_argument(
+        "runOpenLoop: simThreads " + std::to_string(opt.simThreads) +
+        " > 1, but the event core is serial");
+  }
   sim::Network net(topo, cfg);
   if (opt.probe != nullptr) net.setProbe(opt.probe);
   RouteSetResolver resolver(net, router, opt.spray, opt.compiled);
@@ -35,7 +40,6 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
                        xgft::NodeIndex) {};
   }
   sim::InjectionProcess process(net, source, std::move(injOpt));
-  process.setSimThreads(opt.simThreads);
 
   const sim::TimeNs measureBegin = opt.warmupNs;
   const sim::TimeNs measureEnd = opt.warmupNs + opt.measureNs;

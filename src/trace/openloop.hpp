@@ -53,10 +53,9 @@ struct OpenLoopOptions {
   /// and counted (NetworkStats::messagesDropped) instead of throwing.
   std::function<void(sim::Network&, RouteSetResolver&)> prepare;
 
-  /// Shard workers for the event core (sim/shard.hpp); <= 1 runs serial.
-  /// Results are byte-identical for any value — the engine falls back to
-  /// the serial core whenever sharding would be unprofitable or inexact
-  /// (probe attached, faults scheduled, topology too small).
+  /// Retired: the event core is serial.  Kept only because the perfbench
+  /// driver still assigns it; values above 1 are rejected.  Deleted by the
+  /// ROADMAP item "Next benchmark change: drop the sim-thread remnants".
   std::uint32_t simThreads = 1;
 };
 

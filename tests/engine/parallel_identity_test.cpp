@@ -1,10 +1,9 @@
-// Shard-count byte-identity at the campaign level: every builtin campaign
+// Pool-width byte-identity at the campaign level: every builtin campaign
 // must emit byte-identical CSVs and (includeHost=false) manifests whether
-// each job's event core runs serial or sharded (sim_threads 1/2/4).  For
-// closed-loop and faulted campaigns the engine falls back to the serial
-// core, so identity is structural; for the open-loop loadsweep the sharded
-// path genuinely executes — this is the engine-level pin of the
-// determinism contract in sim/shard.hpp.
+// its jobs run on one worker or are spread over four.  Closed-loop,
+// open-loop (loadsweep) and faulted (faultsweep) campaigns all share the
+// runner's caches across workers, so this pins that no cache hit, job
+// order or worker assignment leaks into output bytes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,10 +24,9 @@ std::vector<ExperimentSpec> smallCampaign(const std::string& name) {
   return parseCampaign(builtinCampaign(name, copt));
 }
 
-RunnerOptions optionsWith(std::uint32_t simThreads) {
+RunnerOptions optionsWith(std::uint32_t threads) {
   RunnerOptions opt;
-  opt.threads = 1;  // One job at a time; sim_threads is the varied axis.
-  opt.simThreads = simThreads;
+  opt.threads = threads;
   opt.openLoopWarmupNs = 50'000;
   opt.openLoopMeasureNs = 200'000;
   return opt;
@@ -39,9 +37,8 @@ struct CampaignOutput {
   std::string manifest;
 };
 
-CampaignOutput runCampaign(const std::string& name,
-                           std::uint32_t simThreads) {
-  Runner runner(optionsWith(simThreads));
+CampaignOutput runCampaign(const std::string& name, std::uint32_t threads) {
+  Runner runner(optionsWith(threads));
   const CampaignResults results = runner.run(smallCampaign(name));
   for (const JobResult& job : results.jobs) {
     EXPECT_TRUE(job.ok) << name << ": " << job.error;
@@ -53,16 +50,13 @@ CampaignOutput runCampaign(const std::string& name,
 
 class ParallelIdentity : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ParallelIdentity, CsvAndManifestAreByteIdenticalAcrossSimThreads) {
+TEST_P(ParallelIdentity, CsvAndManifestAreByteIdenticalAcrossThreads) {
   const std::string name = GetParam();
   const CampaignOutput serial = runCampaign(name, 1);
   EXPECT_NE(serial.csv.find('\n'), std::string::npos);
-  for (const std::uint32_t simThreads : {2u, 4u}) {
-    SCOPED_TRACE(simThreads);
-    const CampaignOutput sharded = runCampaign(name, simThreads);
-    EXPECT_EQ(serial.csv, sharded.csv);
-    EXPECT_EQ(serial.manifest, sharded.manifest);
-  }
+  const CampaignOutput pooled = runCampaign(name, 4);
+  EXPECT_EQ(serial.csv, pooled.csv);
+  EXPECT_EQ(serial.manifest, pooled.manifest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Builtins, ParallelIdentity,
@@ -76,20 +70,6 @@ INSTANTIATE_TEST_SUITE_P(Builtins, ParallelIdentity,
                            }
                            return name;
                          });
-
-TEST(ParallelIdentity, SpecLevelSimThreadsKeyOverridesTheRunner) {
-  // sim_threads= inside a spec line parses, overrides the runner budget,
-  // and stays out of the canonical line form (host-volatile).
-  const ExperimentSpec spec =
-      parseSpecLine("m1=8 m2=8 w2=2 source=poisson:uniform load=0.6 "
-                    "routing=d-mod-k sim_threads=4");
-  EXPECT_EQ(spec.simThreads, 4u);
-  EXPECT_EQ(spec.toLine().find("sim_threads"), std::string::npos);
-  // And the measured configuration compares equal across the knob.
-  ExperimentSpec serial = spec;
-  serial.simThreads = 0;
-  EXPECT_EQ(serial, spec);
-}
 
 }  // namespace
 }  // namespace engine

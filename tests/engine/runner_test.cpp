@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "engine/spec.hpp"
 #include "routing/relabel.hpp"
 #include "trace/harness.hpp"
@@ -195,9 +197,8 @@ TEST(Runner, ThreadCountDefaultsAndClamping) {
 }
 
 TEST(Runner, OneJobCampaignDefaultsToTheSerialEventCore) {
-  // An idle pool no longer shards a lone job's event core: sim_threads
-  // defaults to 1, and an explicit budget is still honoured (with
-  // identical CSV bytes either way).
+  // The event core is serial: a lone job reports one sim thread, and a
+  // budget above 1 is rejected rather than silently ignored.
   const std::vector<ExperimentSpec> specs = parseCampaign(
       "m1=8 m2=8 w2=2 source=poisson:uniform load=0.3 msg_scale=0.0625 "
       "routing=d-mod-k seed=1\n");
@@ -209,10 +210,10 @@ TEST(Runner, OneJobCampaignDefaultsToTheSerialEventCore) {
   const CampaignResults serial = Runner(opt).run(specs);
   EXPECT_EQ(serial.simThreadsUsed, 1u);
   ASSERT_TRUE(serial.jobs.at(0).ok) << serial.jobs.at(0).error;
+  opt.simThreads = 1;
+  EXPECT_EQ(Runner(opt).run(specs).toCsv(), serial.toCsv());
   opt.simThreads = 3;
-  const CampaignResults sharded = Runner(opt).run(specs);
-  EXPECT_EQ(sharded.simThreadsUsed, 3u);
-  EXPECT_EQ(sharded.toCsv(), serial.toCsv());
+  EXPECT_THROW((void)Runner(opt).run(specs), std::invalid_argument);
 }
 
 }  // namespace

@@ -85,9 +85,25 @@ TEST(Spec, RejectsMalformedInput) {
   EXPECT_THROW(parseSpecLine("bogus=1"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("routing=magic"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("msg_scale=0"), std::invalid_argument);
+  EXPECT_THROW(parseSpecLine("msg_scale=nan"), std::invalid_argument);
+  EXPECT_THROW(parseSpecLine("msg_scale=inf"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("seed=abc"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("topo=\"XGFT(2; 8,8"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("seed=1..4"), std::invalid_argument);
+  // The retired sim-thread key is now just an unknown key, and the
+  // listing of known keys no longer offers it.
+  const std::string retired = "sim_threads";
+  try {
+    (void)parseSpecLine(retired + "=4");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const std::size_t known = what.find("(known: ");
+    EXPECT_NE(what.find("unknown campaign key '" + retired + "' (known: "),
+              std::string::npos);
+    ASSERT_NE(known, std::string::npos);
+    EXPECT_EQ(what.find(retired, known), std::string::npos);
+  }
 }
 
 TEST(Spec, OpenLoopKeysParseAndRoundTrip) {
@@ -120,6 +136,8 @@ TEST(Spec, OpenLoopKeysValidate) {
   EXPECT_THROW(parseSpecLine("source=poisson:uniform load=0"),
                std::invalid_argument);
   EXPECT_THROW(parseSpecLine("source=poisson:uniform load=5"),
+               std::invalid_argument);
+  EXPECT_THROW(parseSpecLine("source=poisson:uniform load=nan"),
                std::invalid_argument);
 }
 

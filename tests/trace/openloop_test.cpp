@@ -150,5 +150,17 @@ TEST(OpenLoop, RejectsOversizedSources) {
                std::invalid_argument);
 }
 
+TEST(OpenLoop, RejectsMoreThanOneSimThread) {
+  // The event core is serial; a shard budget must fail loudly, not be
+  // silently ignored.
+  const Topology topo(xgft::xgft2(2, 2, 1));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  patterns::OpenLoopSource src = makeSource(topo, 0.3, 100'000);
+  OpenLoopOptions opt = fastWindows();
+  opt.simThreads = 2;
+  EXPECT_THROW((void)runOpenLoop(topo, *router, src, opt),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace trace
