@@ -68,13 +68,16 @@ void BM_RouteColored(benchmark::State& state) {
 BENCHMARK(BM_RouteColored);
 
 // --- virtual route() vs compiled-table lookup --------------------------------
-// The replayer's per-message hot path: the engine compiles static schemes
+// The replayer's per-pair route material: the engine compiles static schemes
 // into core::CompiledRoutes once and replaces the virtual dispatch below
-// with the flat lookup benchmarked here (numbers recorded in DESIGN.md §6).
+// with the interval lookup benchmarked here (numbers in DESIGN.md §6).
 
 std::shared_ptr<const core::CompiledRoutes> compiledOf(routing::RouterPtr r) {
   std::shared_ptr<const routing::Router> shared(std::move(r));
-  return core::CompiledRoutes::compile(std::move(shared), 1);
+  std::shared_ptr<const core::CompiledRoutes> table =
+      core::CompiledRoutes::compile(std::move(shared));
+  table->compileAll(1);
+  return table;
 }
 
 void compiledSweep(benchmark::State& state,

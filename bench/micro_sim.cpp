@@ -192,36 +192,17 @@ void BM_NetworkConstruction3(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkConstruction3)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_RouteCompileFlat(benchmark::State& state) {
-  // Eager dense O(H^2) compilation on the 512-host tier (the 4096-host
-  // flat table is 218 MB — past the engine budget, hence the compressed
-  // rows below).  Counters report the resident table footprint.
-  const auto topo = std::make_shared<const xgft::Topology>(xgft3Tier(0));
-  const std::shared_ptr<const routing::Router> router =
-      routing::makeDModK(*topo);
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    const auto table =
-        core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
-    bytes = table->forwardingBytes();
-    benchmark::DoNotOptimize(table->upPorts(0, 1).size());
-  }
-  state.counters["flat_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_RouteCompileFlat)->Unit(benchmark::kMillisecond);
-
 void BM_RouteCompileCompressed(benchmark::State& state) {
-  // Full (compileAll) interval-compressed compilation per tier; the
-  // compressed_bytes counter against BM_RouteCompileFlat's flat_bytes (or
-  // the analytic 218 MB at 4096 hosts) is the memory headline.
+  // Full (compileAll) table compilation per tier; the compressed_bytes
+  // counter against flat_bytes (the dense per-pair size, 218 MB at 4096
+  // hosts) is the memory headline.
   const auto topo = std::make_shared<const xgft::Topology>(
       xgft3Tier(static_cast<int>(state.range(0))));
   const std::shared_ptr<const routing::Router> router =
       routing::makeDModK(*topo);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto table = core::CompiledRoutes::compile(
-        router, 1, core::TableLayout::kCompressed);
+    const auto table = core::CompiledRoutes::compile(router);
     table->compileAll(1);
     bytes = table->forwardingBytes();
     benchmark::DoNotOptimize(table->upPorts(0, 1).size());
@@ -241,8 +222,7 @@ void BM_RouteCompileLazy(benchmark::State& state) {
       routing::makeDModK(*topo);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto table = core::CompiledRoutes::compile(
-        router, 1, core::TableLayout::kCompressed);
+    const auto table = core::CompiledRoutes::compile(router);
     for (xgft::NodeIndex d = 0; d < core::CompiledRoutes::kChunkCols; ++d) {
       benchmark::DoNotOptimize(table->upPorts(1, d).size());
     }

@@ -11,10 +11,6 @@ namespace core {
 
 namespace {
 
-/// kAuto layout cutover: flat tables up to this footprint keep the exact
-/// historical representation (and its O(1) lookup); larger ones compress.
-constexpr std::uint64_t kAutoCompressBytes = 8ull << 20;
-
 /// First exception thrown by any compile worker (annotated so the
 /// thread-safety build proves every access happens under the lock).
 struct FailureSink {
@@ -71,13 +67,26 @@ ColumnCost scanColumn(const routing::Router& r, bool byDst,
 }  // namespace
 
 CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
-    : router_(std::move(router)) {
-  const xgft::Topology& topo = router_->topology();
-  numHosts_ = static_cast<std::size_t>(topo.numHosts());
-  stride_ = topo.height();
-  if (stride_ > 0xff) {
-    throw std::invalid_argument("CompiledRoutes: tree higher than 255 levels");
+    : router_(std::move(router)),
+      numHosts_(static_cast<std::size_t>(router_->topology().numHosts())),
+      numChunks_((numHosts_ + kChunkCols - 1) / kChunkCols),
+      chunks_(std::make_unique<std::atomic<const Chunk*>[]>(numChunks_)) {
+  // Axis by deterministic sampling: three spread guide columns scanned both
+  // ways; fewer total runs wins, a tie keeps kByDst.  Always scans the
+  // healthy router — a degraded table differs from it on few pairs, and a
+  // PairRoute supplier must not be probed twice for any pair.
+  const std::uint32_t hosts = static_cast<std::uint32_t>(numHosts_);
+  std::uint64_t byDstRuns = 0;
+  std::uint64_t bySrcRuns = 0;
+  std::uint32_t last = ~0u;
+  for (const std::uint32_t guide :
+       {0u, hosts / 2, hosts == 0 ? 0u : hosts - 1}) {
+    if (guide == last) continue;
+    last = guide;
+    byDstRuns += scanColumn(*router_, true, guide, hosts).intervals;
+    bySrcRuns += scanColumn(*router_, false, guide, hosts).intervals;
   }
+  axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
 }
 
 std::uint64_t CompiledRoutes::tableBytes(const xgft::Topology& topo) {
@@ -119,110 +128,18 @@ std::uint64_t CompiledRoutes::estimateCompressedBytes(
 }
 
 std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
-    std::shared_ptr<const routing::Router> router, std::uint32_t threads,
-    TableLayout layout) {
-  return compileWith(std::move(router), PairRoute{}, threads, layout);
+    std::shared_ptr<const routing::Router> router) {
+  if (!router) {
+    throw std::invalid_argument("CompiledRoutes::compile: null router");
+  }
+  return std::shared_ptr<CompiledRoutes>(new CompiledRoutes(std::move(router)));
 }
 
 std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     std::shared_ptr<const routing::Router> router, const PairRoute& routeFor,
-    std::uint32_t threads, TableLayout layout) {
-  if (!router) {
-    throw std::invalid_argument("CompiledRoutes::compile: null router");
-  }
-  const bool compress =
-      layout == TableLayout::kCompressed ||
-      (layout == TableLayout::kAuto &&
-       tableBytes(router->topology()) > kAutoCompressBytes);
-  auto table =
-      std::shared_ptr<CompiledRoutes>(new CompiledRoutes(std::move(router)));
-  const routing::Router& r = *table->router_;
-  const std::size_t n = table->numHosts_;
-  const std::uint32_t stride = table->stride_;
-
-  if (compress) {
-    table->compressed_ = true;
-    table->numChunks_ = (n + kChunkCols - 1) / kChunkCols;
-    table->chunks_ =
-        std::make_unique<std::atomic<const Chunk*>[]>(table->numChunks_);
-    // Axis by deterministic sampling: three spread guide columns scanned
-    // both ways; fewer total runs wins, a tie keeps kByDst.  Always scans
-    // the healthy router — a degraded table differs from it on few pairs,
-    // and a PairRoute supplier must not be probed twice for any pair.
-    const std::uint32_t hosts = static_cast<std::uint32_t>(n);
-    std::uint64_t byDstRuns = 0;
-    std::uint64_t bySrcRuns = 0;
-    std::uint32_t last = ~0u;
-    for (const std::uint32_t guide :
-         {0u, hosts / 2, hosts == 0 ? 0u : hosts - 1}) {
-      if (guide == last) continue;
-      last = guide;
-      byDstRuns += scanColumn(r, true, guide, hosts).intervals;
-      bySrcRuns += scanColumn(r, false, guide, hosts).intervals;
-    }
-    table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
-    if (routeFor) {
-      // Supplied tables never compile lazily: routeFor may reference
-      // caller-stack state (fault::compileDegraded's degraded view), so
-      // every chunk must be built before this call returns.
-      table->compileAllWith(routeFor, threads);
-    }
-    return table;
-  }
-
-  table->ports_.resize(n * n * stride);
-  table->lens_.resize(n * n);
-
-  // Each worker fills disjoint source rows, so no synchronization is needed
-  // and the table contents are thread-count independent (routers are
-  // required to be deterministic and immutable after construction; a
-  // routeFor supplier must uphold the same).
-  const auto fillRows = [&](std::size_t sBegin, std::size_t sEnd) {
-    xgft::Route route;  // One buffer per worker, reused for every pair.
-    for (std::size_t s = sBegin; s < sEnd; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        const std::size_t pair = s * n + d;
-        if (s == d ||
-            !table->supplyRoute(routeFor, static_cast<xgft::NodeIndex>(s),
-                                static_cast<xgft::NodeIndex>(d), route)) {
-          table->lens_[pair] = 0;  // Diagonal or unroutable: empty span.
-          continue;
-        }
-        table->lens_[pair] = static_cast<std::uint8_t>(route.up.size());
-        std::copy(route.up.begin(), route.up.end(),
-                  table->ports_.begin() +
-                      static_cast<std::ptrdiff_t>(pair * stride));
-      }
-    }
-  };
-
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
-  if (threads <= 1 || n < 2) {
-    fillRows(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    FailureSink failure;
-    pool.reserve(threads);
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      const std::size_t begin = std::min(n, static_cast<std::size_t>(w) * chunk);
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back([&, begin, end] {
-        try {
-          fillRows(begin, end);
-        } catch (...) {
-          failure.capture(std::current_exception());
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    failure.rethrowIfSet();
-  }
+    std::uint32_t threads) {
+  std::shared_ptr<const CompiledRoutes> table = compile(std::move(router));
+  table->compileAllWith(routeFor, threads);
   return table;
 }
 
@@ -299,7 +216,7 @@ const CompiledRoutes::Chunk& CompiledRoutes::publishChunk(
   if (const Chunk* existing = chunks_[idx].load(std::memory_order_relaxed)) {
     return *existing;  // Raced build: identical content, drop the duplicate.
   }
-  compressedBytes_.fetch_add(
+  builtBytes_.fetch_add(
       chunk->colOff.size() * sizeof(std::uint32_t) +
           chunk->intervals.size() * sizeof(Interval) +
           chunk->ports.size() * sizeof(std::uint32_t),
@@ -338,7 +255,7 @@ const CompiledRoutes::Interval& CompiledRoutes::intervalOf(
   return *base;
 }
 
-std::span<const std::uint32_t> CompiledRoutes::compressedLookup(
+std::span<const std::uint32_t> CompiledRoutes::upPorts(
     xgft::NodeIndex s, xgft::NodeIndex d) const {
   const std::uint32_t guide = axis_ == Axis::kByDst ? d : s;
   const std::uint32_t pos = axis_ == Axis::kByDst ? s : d;
@@ -349,7 +266,7 @@ std::span<const std::uint32_t> CompiledRoutes::compressedLookup(
 
 xgft::NodeIndex CompiledRoutes::shareRep(xgft::NodeIndex s,
                                          xgft::NodeIndex d) const {
-  if (!compressed_ || axis_ == Axis::kBySrc || s == d) return s;
+  if (axis_ == Axis::kBySrc || s == d) return s;
   const Chunk& chunk = chunkFor(d);
   const Interval& run = intervalOf(chunk, d % kChunkCols, s);
   // Same interval => same up-ports; clipping to s's leaf group also pins
@@ -360,7 +277,6 @@ xgft::NodeIndex CompiledRoutes::shareRep(xgft::NodeIndex s,
 }
 
 void CompiledRoutes::compileAll(std::uint32_t threads) const {
-  if (!compressed_) return;
   compileAllWith(PairRoute{}, threads);
 }
 
@@ -408,11 +324,7 @@ void CompiledRoutes::compileAllWith(const PairRoute& routeFor,
 }
 
 std::uint64_t CompiledRoutes::forwardingBytes() const {
-  if (!compressed_) {
-    return ports_.size() * sizeof(std::uint32_t) +
-           lens_.size() * sizeof(std::uint8_t);
-  }
-  return compressedBytes_.load(std::memory_order_relaxed) +
+  return builtBytes_.load(std::memory_order_relaxed) +
          numChunks_ * sizeof(std::atomic<const Chunk*>);
 }
 

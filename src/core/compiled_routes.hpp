@@ -1,47 +1,35 @@
 // compiled_routes.hpp — Per-(src, dst) forwarding tables compiled from any
-// Router, in a flat or an interval-compressed layout.
+// Router, stored interval-compressed.
 //
 // Every simulated message used to pay a virtual Router::route(s, d) call
 // (plus route validation and hop expansion) on the replayer's hot path.  A
 // CompiledRoutes handle is the compile-once/route-many split packet-routing
 // simulators rely on: routes are built once per (topology, scheme, seed),
-// validated exactly once, and looked up by (s, d) afterwards.  Two layouts
-// serve two scales:
+// validated exactly once, and looked up by (s, d) afterwards.
 //
-//  * Flat (small topologies).  One dense O(H^2) array —
-//
-//      ports_[(s * numHosts + d) * stride + i]  =  up-port taken at level i,
-//      lens_ [ s * numHosts + d]                =  route length (NCA level),
-//
-//    compiled eagerly (in parallel when asked), O(1) lookup.
-//
-//  * Interval-compressed (large topologies).  The paper's oblivious schemes
-//    choose up-ports by arithmetic on node labels, so for a fixed guide
-//    column (the destination for d-mod-k-style schemes, the source for
-//    s-mod-k-style ones — chosen by deterministic sampling) the route is
-//    piecewise-constant in the other endpoint: consecutive ranks sharing
-//    the same up-port vector collapse into sorted half-open intervals, each
-//    carrying one copy of the ports.  lookup(s, d) is a branch-free binary
-//    search over the column's intervals.  Columns compile lazily in
-//    64-column chunks on first touch — a sweep job only pays for the
-//    destinations it routes to — and compileAll() preserves the eager path
-//    for replays that touch every pair.  Tables shrink from O(H^2) entries
-//    to O(H * levels * distinct-choices); schemes with per-pair randomness
-//    (Random) do not compress, which estimateCompressedBytes() detects so
-//    the engine can keep its virtual-routing fallback for them.
+// The paper's oblivious schemes choose up-ports by arithmetic on node
+// labels, so for a fixed guide column (the destination for d-mod-k-style
+// schemes, the source for s-mod-k-style ones — chosen by deterministic
+// sampling) the route is piecewise-constant in the other endpoint:
+// consecutive ranks sharing the same up-port vector collapse into sorted
+// half-open intervals, each carrying one copy of the ports.  lookup(s, d) is
+// a branch-free binary search over the column's intervals.  Columns compile
+// lazily in 64-column chunks on first touch — a sweep job only pays for the
+// destinations it routes to — and compileAll() builds every chunk up front
+// for callers that touch all pairs.  Tables shrink from O(H^2) entries to
+// O(H * levels * distinct-choices); schemes with per-pair randomness
+// (Random) do not compress, which estimateCompressedBytes() detects so the
+// engine routes them virtually instead.
 //
 // The handle is immutable after compile() up to the lazily-built chunks,
 // which are published atomically and never mutated afterwards, so it is
 // freely shared across threads and campaign jobs (the engine memoizes it
-// next to the router).  sim::Network::addMessageCompiled consumes upPorts()
-// spans directly — a table lookup instead of virtual dispatch per message —
-// and the trace replayer goes one step further (RouteSetResolver): the span
-// is expanded and interned into the network's RouteStore once per shared
-// route set, so repeat sends are a pure record append with no per-message
-// table walk at all.  The same per-pair interning backs the virtual-route
-// fallback for topologies whose table would exceed every layout's memory
-// budget, which keeps route construction off the per-message hot path in
-// every mode.
+// next to the router).  The trace layer's RouteSetResolver expands an
+// upPorts() span and interns it into the network's RouteStore once per
+// shared route set (see shareRep()), so repeat sends are a pure record
+// append with no per-message table walk.  The same per-pair interning backs
+// virtual routing for schemes the engine does not compile, which keeps
+// route construction off the per-message hot path in every mode.
 #pragma once
 
 #include <atomic>
@@ -59,26 +47,19 @@
 
 namespace core {
 
-/// Which representation compile() builds.  kAuto picks kFlat below an
-/// 8 MiB flat-table footprint and kCompressed above it, so small paper
-/// topologies keep the exact historical layout.
-enum class TableLayout : std::uint8_t { kAuto, kFlat, kCompressed };
-
 class CompiledRoutes {
  public:
-  /// Destinations per lazily-compiled chunk in the compressed layout.
+  /// Guide columns per lazily-compiled chunk.
   static constexpr std::uint32_t kChunkCols = 64;
 
-  /// Compiles the ordered-pair table from @p router, splitting the work
-  /// across @p threads workers (0 means hardware concurrency; the result is
-  /// identical for any thread count).  Every route is validated against the
-  /// topology; a malformed route throws std::invalid_argument.  The router
-  /// (and through it the topology) is kept alive by the returned handle.
-  /// In the compressed layout nothing compiles up front: chunks build on
-  /// first lookup (see compileAll()).
+  /// The ordered-pair table of @p router.  Nothing compiles up front: chunks
+  /// build on first lookup, or all at once through compileAll().  Every
+  /// route is validated against the topology as its chunk builds; a
+  /// malformed route throws std::invalid_argument from that lookup.  The
+  /// router (and through it the topology) is kept alive by the returned
+  /// handle.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
-      std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
-      TableLayout layout = TableLayout::kAuto);
+      std::shared_ptr<const routing::Router> router);
 
   /// Route supplier for compileWith(): fills @p route for (s, d) —
   /// overwriting it fully, as Router::route(s, d, out) does — and returns
@@ -93,40 +74,37 @@ class CompiledRoutes {
   /// compile() with @p routeFor supplying each pair's route instead of the
   /// router's own — the degraded-topology recompilation path
   /// (fault::compileDegraded).  An empty @p routeFor means the router's
-  /// routes, i.e. compile().  Supplied routes are validated exactly like
-  /// compile(); pairs it declines are recorded unroutable instead of
-  /// throwing.  Supplied tables always compile eagerly — @p routeFor may
-  /// reference caller-stack state, so no lazy chunk may outlive this call.
+  /// routes.  Supplied routes are validated exactly like compile(); pairs it
+  /// declines are recorded unroutable instead of throwing.  Every chunk
+  /// builds before this call returns, across @p threads workers (0 means
+  /// hardware concurrency; the result is identical for any thread count):
+  /// @p routeFor may reference caller-stack state, so no lazy chunk may
+  /// outlive this call.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compileWith(
       std::shared_ptr<const routing::Router> router, const PairRoute& routeFor,
-      std::uint32_t threads = 1, TableLayout layout = TableLayout::kAuto);
+      std::uint32_t threads = 1);
 
-  /// Flat-layout size in bytes for a topology, before building — callers
-  /// bound memory with this (the engine tries the compressed layout above
-  /// its limit, then falls back to virtual routing).
+  /// Bytes of a dense per-pair table for a topology (H^2 pairs of `height`
+  /// port words and one length byte) — the engine's budget yardstick: a
+  /// scheme whose estimateCompressedBytes() exceeds it gains nothing from a
+  /// table and routes virtually.
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
 
-  /// Deterministic sampled estimate of the compressed-layout footprint for
-  /// @p router's scheme: a handful of guide columns are compiled both ways
-  /// and the denser axis' per-column bytes extrapolate to the full table.
-  /// Schemes with per-pair randomness estimate near the flat size, which is
-  /// how the engine keeps its virtual-routing fallback for them.
+  /// Deterministic sampled estimate of @p router's table footprint: a
+  /// handful of guide columns are compressed along both axes and the denser
+  /// axis' per-column bytes extrapolate to the full table.  Schemes with
+  /// per-pair randomness estimate near (or above) tableBytes(), which is how
+  /// the engine keeps them on virtual routing.
   [[nodiscard]] static std::uint64_t estimateCompressedBytes(
       const routing::Router& router);
 
   /// The ascending port choices for (s, d); length == ncaLevel(s, d), empty
   /// when s == d — and also empty for pairs a compileWith override marked
-  /// unroutable.  Valid for the handle's lifetime.  In the compressed
-  /// layout a first touch of an uncompiled column builds its chunk (and may
-  /// throw what compilation would have thrown).
+  /// unroutable.  Valid for the handle's lifetime.  A first touch of an
+  /// uncompiled column builds its chunk (and may throw what compilation
+  /// would have thrown).
   [[nodiscard]] std::span<const std::uint32_t> upPorts(
-      xgft::NodeIndex s, xgft::NodeIndex d) const {
-    if (!compressed_) {
-      const std::size_t pair = static_cast<std::size_t>(s) * numHosts_ + d;
-      return {ports_.data() + pair * stride_, lens_[pair]};
-    }
-    return compressedLookup(s, d);
-  }
+      xgft::NodeIndex s, xgft::NodeIndex d) const;
 
   /// True iff a compileWith override declared (s, d) unreachable.  A valid
   /// route for s != d always has length ncaLevel(s, d) >= 1, so a zero
@@ -138,8 +116,9 @@ class CompiledRoutes {
   /// Materializes the xgft::Route for (s, d) — for analysis-style callers.
   [[nodiscard]] xgft::Route route(xgft::NodeIndex s, xgft::NodeIndex d) const;
 
-  /// Compiles every not-yet-built chunk (no-op in the flat layout), across
-  /// @p threads workers; chunk contents are thread-count independent.
+  /// Compiles every not-yet-built chunk across @p threads workers (0 means
+  /// hardware concurrency; at most one worker per chunk); chunk contents are
+  /// thread-count independent.
   /// Replay-style callers that touch all pairs use this to keep compilation
   /// off the simulation path.
   void compileAll(std::uint32_t threads = 1) const;
@@ -148,18 +127,16 @@ class CompiledRoutes {
   /// (s, d)'s: the start of s's source interval, clipped to s's leaf group
   /// (same leaf switch + same up-ports => same switch-tail path).  Resolvers
   /// key their per-pair memos by (rep, d) so every source in the interval
-  /// shares one interned route set.  s itself in the flat layout, in the
-  /// source-oriented compressed layout, and for s == d.
+  /// shares one interned route set.  s itself when the columns are
+  /// source-oriented, and for s == d.
   [[nodiscard]] xgft::NodeIndex shareRep(xgft::NodeIndex s,
                                          xgft::NodeIndex d) const;
 
-  [[nodiscard]] bool compressed() const { return compressed_; }
-  /// Bytes currently resident for the forwarding state: the dense arrays in
-  /// the flat layout, the built chunks' intervals + port arenas in the
-  /// compressed one (grows as lazy chunks build; equals the full footprint
-  /// after compileAll()).
+  /// Bytes currently resident for the forwarding state: the built chunks'
+  /// intervals and port arenas plus the chunk directory (grows as lazy
+  /// chunks build; equals the full footprint after compileAll()).
   [[nodiscard]] std::uint64_t forwardingBytes() const;
-  /// Chunks built so far (always 0 in the flat layout).
+  /// Chunks built so far.
   [[nodiscard]] std::size_t builtChunks() const;
   [[nodiscard]] std::size_t numChunks() const { return numChunks_; }
 
@@ -168,10 +145,9 @@ class CompiledRoutes {
     return router_->topology();
   }
   [[nodiscard]] std::size_t numHosts() const { return numHosts_; }
-  [[nodiscard]] std::uint32_t stride() const { return stride_; }
 
  private:
-  /// Which endpoint indexes the compressed columns: guide = destination
+  /// Which endpoint indexes the columns: guide = destination
   /// (runs over sources — destination-oriented schemes like d-mod-k) or
   /// guide = source (runs over destinations — s-mod-k and friends).
   enum class Axis : std::uint8_t { kByDst, kBySrc };
@@ -192,8 +168,6 @@ class CompiledRoutes {
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
-  [[nodiscard]] std::span<const std::uint32_t> compressedLookup(
-      xgft::NodeIndex s, xgft::NodeIndex d) const;
   [[nodiscard]] const Interval& intervalOf(const Chunk& chunk,
                                            std::uint32_t guide,
                                            std::uint32_t pos) const;
@@ -218,14 +192,6 @@ class CompiledRoutes {
 
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;
-  std::uint32_t stride_ = 0;           ///< Tree height.
-
-  // Flat layout.
-  std::vector<std::uint32_t> ports_;   ///< numHosts^2 * stride.
-  std::vector<std::uint8_t> lens_;     ///< numHosts^2 route lengths.
-
-  // Compressed layout.
-  bool compressed_ = false;
   Axis axis_ = Axis::kByDst;
   std::size_t numChunks_ = 0;
   /// Built chunks, published with release ordering; null until built.
@@ -234,7 +200,7 @@ class CompiledRoutes {
   /// Owns every published chunk (readers go through chunks_, never here).
   mutable std::vector<std::unique_ptr<const Chunk>> chunkOwner_
       XGFT_GUARDED_BY(chunkMu_);
-  mutable std::atomic<std::uint64_t> compressedBytes_{0};
+  mutable std::atomic<std::uint64_t> builtBytes_{0};
   mutable std::atomic<std::size_t> builtChunks_{0};
 };
 

@@ -35,7 +35,7 @@
 namespace core {
 
 /// How the simulator consumes a scheme.  kTable schemes assign one static
-/// route per (s, d) pair — they build a Router and can be compiled to flat
+/// route per (s, d) pair — they build a Router and can be compiled to
 /// forwarding tables (CompiledRoutes).  kAdaptive and kSpray route per
 /// segment inside the simulator; they have no Router factory and no static
 /// contention analysis.

@@ -118,10 +118,10 @@ void registerBuiltinCampaigns(core::Registry<CampaignInfo>& registry) {
     info.text = [](const CampaignOptions& opt) {
       // The loadsweep methodology on the three-level scale-out tier, at two
       // operating points (below and near the knee).  The 512-host tree
-      // still fits the flat table budget; the 4096-host tree does not
-      // (218 MB flat) and exercises the interval-compressed lazy path —
-      // its manifest reports the compressed cache counters and the
-      // forwarding-state memory block (xgft-manifest-v3).
+      // fits the engine's table budget (fully built tables); the 4096-host
+      // tree does not (218 MB as a dense table) and exercises the lazy
+      // over-budget path — its manifest reports the compressed cache
+      // counters and the forwarding-state memory block (xgft-manifest-v3).
       std::ostringstream os;
       const std::string scale = " msg_scale=" + formatShortest(opt.msgScale);
       os << "# bigsweep: open-loop scale-out tier, XGFT(3;...) trees\n"

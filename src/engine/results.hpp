@@ -93,11 +93,12 @@ struct CacheStats {
 };
 
 /// Forwarding-state memory picture of one campaign run, aggregated over the
-/// cache's interval-compressed tables (engine::CampaignCache).  All sizes
+/// cache's over-budget tables (engine::CampaignCache::compressedRoutes).  All sizes
 /// are deterministic: lazily-built chunks depend only on which pairs the
 /// workloads touched, never on thread count or scheduling.
 struct ForwardingStats {
-  /// What the same tables would occupy in the flat per-pair layout.
+  /// What the same tables would occupy as dense per-pair tables
+  /// (core::CompiledRoutes::tableBytes).
   std::uint64_t tableBytesFlat = 0;
   /// Resident bytes of the compressed tables (built chunks only).
   std::uint64_t tableBytesCompressed = 0;

@@ -128,9 +128,21 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::compiledRoutes(
     const ExperimentSpec& spec,
     const std::shared_ptr<const routing::Router>& router,
     std::uint32_t threads) {
-  return tables_.get(routerKey(spec, router->topology()), [&] {
-    return core::CompiledRoutes::compile(router, threads);
-  });
+  return tables_.get(
+      routerKey(spec, router->topology()),
+      [&]() -> std::shared_ptr<const core::CompiledRoutes> {
+        // The over-budget memo's rule with the dense table size as the
+        // budget: a scheme that compresses to no less than a dense table
+        // (per-pair randomness) routes virtually instead.
+        if (core::CompiledRoutes::estimateCompressedBytes(*router) >
+            core::CompiledRoutes::tableBytes(router->topology())) {
+          return nullptr;
+        }
+        std::shared_ptr<const core::CompiledRoutes> table =
+            core::CompiledRoutes::compile(router);
+        table->compileAll(threads);
+        return table;
+      });
 }
 
 std::shared_ptr<const core::CompiledRoutes> CampaignCache::compressedRoutes(
@@ -148,8 +160,7 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::compressedRoutes(
             maxBytes) {
           return nullptr;
         }
-        return core::CompiledRoutes::compile(router, /*threads=*/1,
-                                             core::TableLayout::kCompressed);
+        return core::CompiledRoutes::compile(router);
       });
 }
 
@@ -248,6 +259,28 @@ std::shared_ptr<obs::Recorder> makeRecorder(const ExperimentSpec& spec,
   return std::make_shared<obs::Recorder>(cfg);
 }
 
+/// The healthy forwarding table a table-mode job routes through, or null for
+/// virtual routing.  Within the budget the memoized table is fully built;
+/// above it the over-budget table is lazy (an open-loop sweep compiles only
+/// the destination chunks its source touches) unless @p eager asks for every
+/// chunk now (closed-loop replay touches essentially every pair of its
+/// workload, so it builds them in parallel rather than one lazy miss at a
+/// time on the simulation path).
+std::shared_ptr<const core::CompiledRoutes> healthyTable(
+    const ExperimentSpec& spec, CampaignCache& cache,
+    const std::shared_ptr<const routing::Router>& router,
+    const RunnerOptions& opt, bool eager) {
+  const std::uint32_t threads = std::max(1u, opt.compileThreads);
+  if (core::CompiledRoutes::tableBytes(router->topology()) <=
+      opt.maxCompiledTableBytes) {
+    return cache.compiledRoutes(spec, router, threads);
+  }
+  std::shared_ptr<const core::CompiledRoutes> table =
+      cache.compressedRoutes(spec, router, opt.maxCompiledTableBytes);
+  if (table && eager) table->compileAll(threads);
+  return table;
+}
+
 /// The open-loop (source=) job path: no trace, no crossbar reference — the
 /// streaming source runs through trace::runOpenLoop and the measurement
 /// window's operating point fills the load–latency columns.
@@ -282,20 +315,11 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
     }
   }
 
+  // A faulted job here is within the budget (checked above).
   std::shared_ptr<const core::CompiledRoutes> compiled;
   if (scheme.mode == core::RouteMode::kTable &&
       (opt.compileRoutes || !plan.empty())) {
-    if (core::CompiledRoutes::tableBytes(*topo) <= opt.maxCompiledTableBytes) {
-      compiled = cache.compiledRoutes(spec, router,
-                                      std::max(1u, opt.compileThreads));
-    } else if (plan.empty()) {
-      // Flat table over budget: try the interval-compressed layout, left
-      // lazy on purpose — an open-loop sweep compiles only the destination
-      // chunks its source actually touches.  nullptr (scheme does not
-      // compress either) keeps the virtual-routing fallback.
-      compiled = cache.compressedRoutes(spec, router,
-                                        opt.maxCompiledTableBytes);
-    }
+    compiled = healthyTable(spec, cache, router, opt, /*eager=*/false);
   }
   // The t = 0 degraded table replaces the healthy one for static failures;
   // timed-only plans start healthy and swap tables at their transitions.
@@ -390,25 +414,13 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
         cache.router(spec, topo, app);
 
     // Static schemes route through the compiled forwarding table (shared
-    // across every job with the same router key) unless the topology's
-    // table would blow the memory budget — then the virtual path serves,
-    // which since the interned-route rework costs one route() per distinct
-    // (src, dst) pair rather than per message (Replayer::routeSetFor), so
-    // the fallback is off every workload's per-message hot path.
+    // across every job with the same router key) unless no table pays —
+    // then the virtual path serves, which costs one route() per distinct
+    // (src, dst) pair rather than per message (trace::RouteSetResolver), so
+    // it is off every workload's per-message hot path too.
     std::shared_ptr<const core::CompiledRoutes> compiled;
     if (scheme.mode == core::RouteMode::kTable && opt.compileRoutes) {
-      if (core::CompiledRoutes::tableBytes(*topo) <=
-          opt.maxCompiledTableBytes) {
-        compiled = cache.compiledRoutes(spec, router,
-                                        std::max(1u, opt.compileThreads));
-      } else {
-        compiled = cache.compressedRoutes(spec, router,
-                                          opt.maxCompiledTableBytes);
-        // Closed-loop replay touches essentially every pair of the
-        // workload; build the remaining chunks eagerly (and in parallel)
-        // rather than one lazy miss at a time on the simulation path.
-        if (compiled) compiled->compileAll(std::max(1u, opt.compileThreads));
-      }
+      compiled = healthyTable(spec, cache, router, opt, /*eager=*/true);
     }
 
     // Closed-loop fault path: static plans only.  The degraded table is

@@ -55,24 +55,26 @@ class CampaignCache {
       const std::shared_ptr<const xgft::Topology>& topo,
       const patterns::PhasedPattern& app);
 
-  /// The compiled forwarding table for @p router (see core::CompiledRoutes):
-  /// flat per-(src, dst) port-index arrays built once per router cache key —
-  /// in parallel across @p threads workers (0 = hardware concurrency) — and
+  /// The compiled forwarding table for @p router (see core::CompiledRoutes),
+  /// for topologies within the engine's table budget: built once per router
+  /// cache key — every chunk up front, across @p threads workers — and
   /// shared immutably across campaign jobs, so the simulation hot path does
-  /// a table lookup instead of a virtual route() call per message.
+  /// a table lookup instead of a virtual route() call per message.  Returns
+  /// (and memoizes) nullptr when the scheme's sampled estimate exceeds
+  /// CompiledRoutes::tableBytes: schemes with per-pair randomness (Random)
+  /// do not compress, and route virtually instead.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compiledRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
       std::uint32_t threads);
 
-  /// The interval-compressed forwarding table for @p router — the fallback
-  /// for topologies whose flat table exceeds the engine's memory budget.
+  /// The forwarding table for @p router on a topology whose
+  /// CompiledRoutes::tableBytes exceeds the engine's budget @p maxBytes.
   /// Compilation is lazy (64-destination chunks build on first touch, so a
   /// sweep only pays for pairs it routes); closed-loop callers eager-build
   /// via CompiledRoutes::compileAll.  Returns (and memoizes) nullptr when
-  /// even the compressed layout's sampled estimate exceeds @p maxBytes —
-  /// schemes with per-pair randomness (Random) do not compress, and they
-  /// keep the virtual-routing fallback exactly as before.
+  /// the scheme's sampled estimate exceeds @p maxBytes, which keeps such
+  /// jobs on virtual routing.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compressedRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
@@ -102,9 +104,10 @@ class CampaignCache {
 
   [[nodiscard]] CacheStats stats() const;
 
-  /// Aggregate memory picture of the compressed tables built so far: their
-  /// resident (built-chunk) bytes and the flat-layout bytes the same
-  /// topologies would have cost.  Deterministic for a given campaign.
+  /// Aggregate memory picture of the over-budget tables (compressedRoutes)
+  /// built so far: their resident (built-chunk) bytes and the dense
+  /// tableBytes the same topologies would have cost.  Deterministic for a
+  /// given campaign.
   [[nodiscard]] ForwardingStats forwardingStats() const;
 
  private:
@@ -138,14 +141,18 @@ struct RunnerOptions {
   /// route sweep per job for algorithms with static routes).
   bool collectContention = true;
 
-  /// Compile static routes into flat forwarding tables (CompiledRoutes)
-  /// shared across jobs, removing virtual route() dispatch from the
-  /// replayer's per-message hot path.  Results are bit-identical either
-  /// way; disable to measure the virtual path or to save memory.
+  /// Compile static routes into forwarding tables (CompiledRoutes) shared
+  /// across jobs, removing virtual route() dispatch from the replayer's
+  /// per-message hot path.  Results are bit-identical either way; disable
+  /// to measure the virtual path or to save memory.
   bool compileRoutes = true;
 
-  /// Upper bound on one compiled table's size; topologies whose full
-  /// ordered-pair table would exceed it fall back to virtual routing.
+  /// Table budget, compared with CompiledRoutes::tableBytes (the dense
+  /// per-pair size).  Topologies within it get fully built tables
+  /// (CampaignCache::compiledRoutes); above it, tables build lazily and
+  /// only when the scheme's sampled estimate fits the budget
+  /// (CampaignCache::compressedRoutes), else jobs route virtually.  Fault
+  /// plans need a table and are rejected above the budget.
   std::uint64_t maxCompiledTableBytes = 64ull << 20;
 
   /// Worker threads one table compilation may use.  Runner::run sets this

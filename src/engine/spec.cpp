@@ -32,6 +32,11 @@ namespace {
   throw std::invalid_argument("campaign spec: " + what);
 }
 
+/// Most jobs one campaign line may expand to.  Sweep sizes are checked
+/// against it before anything is expanded, so a huge range fails fast
+/// instead of allocating without bound.
+constexpr std::uint64_t kMaxLineJobs = 1'000'000;
+
 std::uint64_t requireU64(const std::string& value, const std::string& key) {
   std::uint64_t v = 0;
   if (!parseU64(value, v)) fail("'" + key + "' wants an integer, got '" +
@@ -124,15 +129,16 @@ std::vector<std::string> expandValue(const std::string& raw) {
     std::uint64_t hi = 0;
     if (parseU64(raw.substr(0, dots), lo) &&
         parseU64(raw.substr(dots + 2), hi)) {
+      // Values - 1, which cannot overflow even for 0..2^64-1.
+      const std::uint64_t span = lo <= hi ? hi - lo : lo - hi;
+      if (span >= kMaxLineJobs) {
+        fail("range '" + raw + "' has more than " +
+             std::to_string(kMaxLineJobs) + " values");
+      }
       std::vector<std::string> values;
-      if (lo <= hi) {
-        for (std::uint64_t v = lo; v <= hi; ++v) {
-          values.push_back(std::to_string(v));
-        }
-      } else {
-        for (std::uint64_t v = lo; v + 1 > hi; --v) {
-          values.push_back(std::to_string(v));
-        }
+      values.reserve(span + 1);
+      for (std::uint64_t i = 0; i <= span; ++i) {
+        values.push_back(std::to_string(lo <= hi ? lo + i : lo - i));
       }
       return values;
     }
@@ -300,10 +306,16 @@ std::vector<ExperimentSpec> expandCampaignLine(const std::string& line) {
   if (tokens.empty()) return {};
   std::vector<std::vector<std::string>> values;
   values.reserve(tokens.size());
+  std::uint64_t numJobs = 1;  // <= kMaxLineJobs^2: no overflow.
   for (const auto& [key, raw] : tokens) {
     // topo values embed commas; sweep them via the m1/m2/w2 family instead.
     values.push_back(key == "topo" ? std::vector<std::string>{raw}
                                    : expandValue(raw));
+    numJobs *= values.back().size();
+    if (numJobs > kMaxLineJobs) {
+      fail("sweep expands to more than " + std::to_string(kMaxLineJobs) +
+           " jobs");
+    }
   }
 
   std::vector<ExperimentSpec> jobs;

@@ -114,7 +114,8 @@ struct ExperimentSpec {
 [[nodiscard]] ExperimentSpec parseSpecLine(const std::string& line);
 
 /// Expands one campaign line (sweep syntax allowed) to the cross product of
-/// its value lists, last key fastest.
+/// its value lists, last key fastest.  A line whose sweep product exceeds
+/// 1,000,000 jobs is rejected before it is expanded.
 [[nodiscard]] std::vector<ExperimentSpec> expandCampaignLine(
     const std::string& line);
 

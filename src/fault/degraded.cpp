@@ -75,8 +75,8 @@ bool DegradedTopology::routeBlocked(xgft::NodeIndex s, xgft::NodeIndex d,
 
 DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
                                const DegradedTopology& degraded,
-                               UnreachablePolicy policy, std::uint32_t threads,
-                               core::TableLayout layout) {
+                               UnreachablePolicy policy,
+                               std::uint32_t threads) {
   if (!router) {
     throw std::invalid_argument("compileDegraded: null router");
   }
@@ -114,8 +114,8 @@ DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
     return false;
   };
 
-  out.table = core::CompiledRoutes::compileWith(std::move(router), routeFor,
-                                                threads, layout);
+  out.table =
+      core::CompiledRoutes::compileWith(std::move(router), routeFor, threads);
   out.unreachable = unreachable.takeSorted();
   return out;
 }

@@ -5,7 +5,7 @@
 // physically — they are just down), so every (level, index, port)
 // computation stays valid and only route *selection* changes.
 //
-// compileDegraded() rebuilds a scheme's flat forwarding tables
+// compileDegraded() rebuilds a scheme's forwarding table
 // (core::CompiledRoutes) around the mask: each pair keeps its healthy route
 // when unaffected, otherwise the minimal up/down alternatives are scanned
 // in NCA order (xgft::routeViaNca) for the first one avoiding every failed
@@ -78,15 +78,13 @@ struct DegradedRoutes {
 /// Recompiles @p router's forwarding tables around @p degraded's failed
 /// links (see the header comment for the pair-by-pair rules).  Deterministic
 /// for any @p threads.  Throws std::invalid_argument for unreachable pairs
-/// under kThrow, and propagates the router's own errors.  @p layout picks
-/// the table representation exactly as for CompiledRoutes::compile();
-/// degraded tables always compile eagerly (the degraded view is not kept
-/// alive by the table), so lazy chunking does not apply.
+/// under kThrow, and propagates the router's own errors.  Degraded tables
+/// always compile eagerly (the degraded view is not kept alive by the
+/// table), so lazy chunking does not apply.
 [[nodiscard]] DegradedRoutes compileDegraded(
     std::shared_ptr<const routing::Router> router,
     const DegradedTopology& degraded, UnreachablePolicy policy,
-    std::uint32_t threads = 1,
-    core::TableLayout layout = core::TableLayout::kAuto);
+    std::uint32_t threads = 1);
 
 /// Checks that the scheme @p routing can route on a degraded view (table
 /// mode).  Returns its SchemeInfo; throws std::invalid_argument in the

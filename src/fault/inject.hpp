@@ -57,8 +57,9 @@ struct InstallOptions {
 /// link events still fire and the fault policy still applies, but no table
 /// recompilation happens (per-segment schemes, or closed-loop runs that
 /// pre-compiled a static degraded table).  When @p resolver is non-null it
-/// must be in compiled mode and @p router must be the scheme it resolves
-/// for.  Returns the keep-alive handle owning every recompiled table.
+/// must not be in a per-segment mode (spray, adaptive), and @p router must
+/// be the scheme it resolves for; a virtual-mode resolver switches to
+/// compiled mode at the first recompile.  Returns the keep-alive handle owning every recompiled table.
 std::shared_ptr<void> installFaultPlan(
     sim::Network& net, const FaultPlan& plan,
     std::shared_ptr<const routing::Router> router,

@@ -151,12 +151,6 @@ RouteSetId Network::internCompiledPath(xgft::NodeIndex src,
   return routes_.internSet(upPorts[0], scratchSet_);
 }
 
-MsgId Network::addMessageCompiled(xgft::NodeIndex src, xgft::NodeIndex dst,
-                                  Bytes bytes,
-                                  std::span<const std::uint32_t> upPorts) {
-  return addMessageSet(src, dst, bytes, internCompiledPath(src, dst, upPorts));
-}
-
 RouteSetId Network::internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
                                  const std::vector<xgft::Route>& routes) {
   if (routes.empty()) {

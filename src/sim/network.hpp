@@ -137,6 +137,8 @@ struct NetworkStats {
   std::uint64_t segmentsStranded = 0;
   std::uint64_t messagesDropped = 0;
   TimeNs linkDownNs = 0;
+
+  friend bool operator==(const NetworkStats&, const NetworkStats&) = default;
 };
 
 class Network {
@@ -163,17 +165,6 @@ class Network {
   /// instantly upon release (local delivery, no network traversal).
   MsgId addMessage(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                    const xgft::Route& route);
-
-  /// Fast-path variant of addMessage consuming a compiled forwarding-table
-  /// entry (core::CompiledRoutes::upPorts): the ascending port choices are
-  /// expanded straight into the global-port path with no route validation
-  /// and no intermediate Route object.  Precondition: @p upPorts came from
-  /// a table compiled against this network's topology (validated once at
-  /// compile time).  Produces the identical event sequence as addMessage
-  /// with the equivalent Route.
-  MsgId addMessageCompiled(xgft::NodeIndex src, xgft::NodeIndex dst,
-                           Bytes bytes,
-                           std::span<const std::uint32_t> upPorts);
 
   /// Registers a multipath message: each segment is sprayed over one of the
   /// given routes per @p policy.  All routes must share the same first-hop
@@ -209,8 +200,12 @@ class Network {
   RouteSetId internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
                           const std::vector<xgft::Route>& routes);
 
-  /// internRoutes for one compiled forwarding-table entry (no validation,
-  /// same contract as addMessageCompiled).
+  /// internRoutes for one compiled forwarding-table entry
+  /// (core::CompiledRoutes::upPorts): the ascending port choices expand
+  /// straight into the global-port path with no route validation and no
+  /// intermediate Route object.  Precondition: @p upPorts came from a table
+  /// compiled against this network's topology (validated once at compile
+  /// time).
   RouteSetId internCompiledPath(xgft::NodeIndex src, xgft::NodeIndex dst,
                                 std::span<const std::uint32_t> upPorts);
 

@@ -49,9 +49,9 @@ class Replayer final : public patterns::TrafficSource {
   /// All references must outlive the replayer.  The replayer's injection
   /// process installs itself as the network's sink.  When @p compiled is
   /// given (and no per-segment mode is active) messages route through the
-  /// compiled forwarding table — a flat lookup instead of a virtual
-  /// route() call per message; the table must be compiled against @p net's
-  /// topology.
+  /// compiled forwarding table — a table lookup per distinct route set
+  /// instead of a virtual route() call per pair; the table must be compiled
+  /// against @p net's topology.
   Replayer(sim::Network& net, const Trace& trace, const Mapping& mapping,
            const routing::Router& router, SprayConfig spray = {},
            const core::CompiledRoutes* compiled = nullptr);

@@ -25,11 +25,6 @@ void RouteSetResolver::setCompiled(const core::CompiledRoutes* compiled) {
         "RouteSetResolver::setCompiled: per-segment modes (spray, adaptive) "
         "do not consult forwarding tables");
   }
-  if (compiled_ == nullptr) {
-    throw std::invalid_argument(
-        "RouteSetResolver::setCompiled: resolver was not constructed in "
-        "compiled mode");
-  }
   if (compiled == nullptr ||
       &compiled->topology() != &net_->topology()) {
     throw std::invalid_argument(
@@ -57,8 +52,7 @@ sim::RouteSetId RouteSetResolver::setFor(xgft::NodeIndex src,
   // Compiled tables memoize per share-representative instead of per source:
   // every source in the same forwarding interval and leaf group maps to one
   // interned set (identical NIC port + switch tail), so the memo and the
-  // route arenas stay O(intervals), not O(pairs).  shareRep == src for flat
-  // tables, making this the exact historical key there.
+  // route arenas stay O(intervals), not O(pairs).
   const xgft::NodeIndex srcKey =
       compiled_ != nullptr ? compiled_->shareRep(src, dst) : src;
   const std::uint64_t key = (static_cast<std::uint64_t>(srcKey) << 32) | dst;

@@ -7,7 +7,8 @@
 // closed-loop replay and open-loop sources (trace/openloop.hpp) resolve
 // routes through one path:
 //
-//  * compiled   — flat forwarding-table lookup (core::CompiledRoutes);
+//  * compiled   — forwarding-table lookup (core::CompiledRoutes), memoized
+//                 per shared route set (CompiledRoutes::shareRep);
 //  * virtual    — one router->route() call per distinct pair;
 //  * spray      — up to maxPaths NCA-distinct routes per pair, sprayed per
 //                 segment (the Greenberg–Leiserson extension);
@@ -66,10 +67,12 @@ class RouteSetResolver {
 
   /// Swaps in a replacement forwarding table (a mid-run degraded
   /// recompilation, fault::installFaultPlan) and invalidates every memoized
-  /// pair so later sends re-resolve through it.  Only legal when the
-  /// resolver was constructed in compiled mode; @p compiled must be non-null
-  /// and built against the same topology (throws std::invalid_argument
-  /// otherwise).  The caller keeps @p compiled alive past the resolver.
+  /// pair so later sends re-resolve through it.  A resolver constructed
+  /// without a table (virtual mode: schemes the engine does not compile)
+  /// switches to compiled mode here.  Illegal in the per-segment modes
+  /// (spray, adaptive); @p compiled must be non-null and built against the
+  /// same topology (throws std::invalid_argument otherwise).  The caller
+  /// keeps @p compiled alive past the resolver.
   void setCompiled(const core::CompiledRoutes* compiled);
 
   [[nodiscard]] const SprayConfig& spray() const { return spray_; }

@@ -1,9 +1,8 @@
-// Tests for core::CompiledRoutes: the flat table agrees with the source
-// router on every ordered pair, parallel compilation is thread-count
-// independent, the interval-compressed layout is pair-for-pair equivalent
-// to the flat one for every registered table scheme, lazy chunks build
-// exactly once, and the simulator's compiled fast path reproduces the
-// virtual path's results exactly.
+// Tests for core::CompiledRoutes: the table agrees with the source router on
+// every ordered pair for every registered table scheme, parallel
+// compilation is thread-count independent, lazy chunks build exactly once,
+// and the simulator's compiled fast path reproduces the virtual path's
+// results exactly.
 #include "core/compiled_routes.hpp"
 
 #include <gtest/gtest.h>
@@ -35,17 +34,41 @@ std::shared_ptr<const routing::Router> makeRouter(
       raw, [topo](const routing::Router* r) { delete r; });
 }
 
+/// Every registered table-mode scheme name (adaptive/spray have no tables).
+std::vector<std::string> tableSchemes() {
+  std::vector<std::string> out;
+  for (const std::string& name : *schemeRegistry().names()) {
+    if (schemeRegistry().at(name).mode == RouteMode::kTable) {
+      out.push_back(name);
+    }
+  }
+  return out;
+}
+
 TEST(CompiledRoutes, TableAgreesWithTheRouterOnEveryPair) {
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 3));
-  for (const char* scheme : {"d-mod-k", "s-mod-k", "Random", "r-NCA-u"}) {
-    const auto router = makeRouter(topo, scheme, 7);
-    const auto table = CompiledRoutes::compile(router, 1);
+  // The hard contract of the interval-compressed table: pair-for-pair the
+  // router's own routes, for every registered table scheme, on a small
+  // two-level tree, the paper's slimmed tree, a mid-size two-level tree and
+  // a small three-level (scale-out tier) tree.
+  const std::vector<xgft::Params> tiers = {
+      xgft::xgft2(4, 4, 3),
+      xgft::xgft2(16, 16, 10),             // paper-slim
+      xgft::xgft2(8, 8, 4),
+      xgft::Params({4, 4, 4}, {2, 2, 2}),  // xgft3:4:4:4:2:2:2
+  };
+  for (const xgft::Params& params : tiers) {
+    const auto topo = std::make_shared<const xgft::Topology>(params);
     const xgft::Count n = topo->numHosts();
-    for (xgft::NodeIndex s = 0; s < n; ++s) {
-      for (xgft::NodeIndex d = 0; d < n; ++d) {
-        EXPECT_EQ(table->route(s, d), router->route(s, d))
-            << scheme << " (" << s << " -> " << d << ")";
+    for (const std::string& scheme : tableSchemes()) {
+      const auto router = makeRouter(topo, scheme, 7);
+      const auto table = CompiledRoutes::compile(router);
+      for (xgft::NodeIndex s = 0; s < n; ++s) {
+        for (xgft::NodeIndex d = 0; d < n; ++d) {
+          ASSERT_EQ(table->route(s, d), router->route(s, d))
+              << scheme << " on " << params.toString() << " (" << s
+              << " -> " << d << ")";
+          ASSERT_FALSE(table->unroutable(s, d));
+        }
       }
     }
   }
@@ -54,23 +77,9 @@ TEST(CompiledRoutes, TableAgreesWithTheRouterOnEveryPair) {
 TEST(CompiledRoutes, SelfPairsAreEmpty) {
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
-  const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"), 1);
+  const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"));
   for (xgft::NodeIndex s = 0; s < topo->numHosts(); ++s) {
     EXPECT_TRUE(table->upPorts(s, s).empty());
-  }
-}
-
-TEST(CompiledRoutes, ParallelCompileMatchesSerial) {
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 4));
-  const auto router = makeRouter(topo, "Random", 3);
-  const auto serial = CompiledRoutes::compile(router, 1);
-  const auto parallel = CompiledRoutes::compile(router, 4);
-  const xgft::Count n = topo->numHosts();
-  for (xgft::NodeIndex s = 0; s < n; ++s) {
-    for (xgft::NodeIndex d = 0; d < n; ++d) {
-      ASSERT_EQ(serial->route(s, d), parallel->route(s, d));
-    }
   }
 }
 
@@ -97,7 +106,7 @@ TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
 
     std::shared_ptr<const routing::Router> shared(
         router.get(), [](const routing::Router*) {});
-    const auto table = CompiledRoutes::compile(shared, 2);
+    const auto table = CompiledRoutes::compile(shared);
     sim::Network net(*topo, sc.sim);
     const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
@@ -111,17 +120,6 @@ TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
     EXPECT_EQ(net.stats().eventsProcessed, virtualRun.stats.eventsProcessed)
         << scheme;
   }
-}
-
-/// Every registered table-mode scheme name (adaptive/spray have no tables).
-std::vector<std::string> tableSchemes() {
-  std::vector<std::string> out;
-  for (const std::string& name : *schemeRegistry().names()) {
-    if (schemeRegistry().at(name).mode == RouteMode::kTable) {
-      out.push_back(name);
-    }
-  }
-  return out;
 }
 
 void expectSamePorts(const CompiledRoutes& a, const CompiledRoutes& b,
@@ -140,32 +138,6 @@ void expectSamePorts(const CompiledRoutes& a, const CompiledRoutes& b,
   }
 }
 
-TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
-  // The hard contract of the compressed layout: pair-for-pair identical
-  // lookups for every registered table scheme, on the paper's slimmed tree,
-  // a mid-size two-level tree and a small three-level (scale-out tier)
-  // tree.
-  const std::vector<xgft::Params> tiers = {
-      xgft::xgft2(16, 16, 10),             // paper-slim
-      xgft::xgft2(8, 8, 4),
-      xgft::Params({4, 4, 4}, {2, 2, 2}),  // xgft3:4:4:4:2:2:2
-  };
-  for (const xgft::Params& params : tiers) {
-    const auto topo = std::make_shared<const xgft::Topology>(params);
-    for (const std::string& scheme : tableSchemes()) {
-      const auto router = makeRouter(topo, scheme, 5);
-      const auto flat =
-          CompiledRoutes::compile(router, 1, TableLayout::kFlat);
-      const auto packed =
-          CompiledRoutes::compile(router, 2, TableLayout::kCompressed);
-      ASSERT_FALSE(flat->compressed());
-      ASSERT_TRUE(packed->compressed());
-      expectSamePorts(*flat, *packed,
-                      scheme + " on " + topo->params().toString());
-    }
-  }
-}
-
 TEST(CompiledRoutesCompressed, ChunksBuildLazilyAndExactlyOnce) {
   // 256 hosts = 4 chunks of 64 guide columns.  Nothing builds up front;
   // the first and the last pair build their own chunks only, a re-touch
@@ -173,9 +145,7 @@ TEST(CompiledRoutesCompressed, ChunksBuildLazilyAndExactlyOnce) {
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 10));
   const auto router = makeRouter(topo, "d-mod-k");
-  const auto table =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-  ASSERT_TRUE(table->compressed());
+  const auto table = CompiledRoutes::compile(router);
   ASSERT_EQ(table->numChunks(), 4u);
   EXPECT_EQ(table->builtChunks(), 0u);
 
@@ -195,18 +165,21 @@ TEST(CompiledRoutesCompressed, ChunksBuildLazilyAndExactlyOnce) {
   table->compileAll(2);
   EXPECT_EQ(table->builtChunks(), table->numChunks());
   EXPECT_GT(table->forwardingBytes(), bytesBefore);
-  const auto flat = CompiledRoutes::compile(router, 1, TableLayout::kFlat);
-  expectSamePorts(*flat, *table, "d-mod-k after compileAll");
+  const xgft::Count n = topo->numHosts();
+  for (xgft::NodeIndex s = 0; s < n; ++s) {
+    for (xgft::NodeIndex d = 0; d < n; ++d) {
+      ASSERT_EQ(table->route(s, d), router->route(s, d))
+          << "(" << s << " -> " << d << ")";
+    }
+  }
 }
 
 TEST(CompiledRoutesCompressed, CompileAllIsThreadCountIndependent) {
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 4));
   const auto router = makeRouter(topo, "Random", 3);
-  const auto serial =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-  const auto threaded =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
+  const auto serial = CompiledRoutes::compile(router);
+  const auto threaded = CompiledRoutes::compile(router);
   serial->compileAll(1);
   threaded->compileAll(4);
   EXPECT_EQ(serial->forwardingBytes(), threaded->forwardingBytes());
@@ -221,8 +194,7 @@ TEST(CompiledRoutesCompressed, ShareRepPreservesRoutesWithinLeafGroups) {
       xgft::Params({4, 4, 4}, {2, 2, 2}));
   const std::uint32_t m1 = topo->params().m(1);
   for (const char* scheme : {"d-mod-k", "s-mod-k", "r-NCA-u"}) {
-    const auto table = CompiledRoutes::compile(makeRouter(topo, scheme, 9), 1,
-                                               TableLayout::kCompressed);
+    const auto table = CompiledRoutes::compile(makeRouter(topo, scheme, 9));
     const xgft::Count n = topo->numHosts();
     for (xgft::NodeIndex s = 0; s < n; ++s) {
       for (xgft::NodeIndex d = 0; d < n; ++d) {
@@ -250,21 +222,11 @@ TEST(CompiledRoutesCompressed, EstimateSeparatesCompressibleSchemes) {
   EXPECT_LT(dmodk * 8, random);
 }
 
-TEST(CompiledRoutes, AutoLayoutKeepsSmallTopologiesFlat) {
-  // Paper-scale trees stay on the exact historical layout under kAuto.
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 10));
-  const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"), 1);
-  EXPECT_FALSE(table->compressed());
-  EXPECT_EQ(table->forwardingBytes(),
-            CompiledRoutes::tableBytes(*topo));
-}
-
 TEST(CompiledRoutes, RejectsForeignTopologies) {
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
   const xgft::Topology other(xgft::xgft2(4, 4, 3));
-  const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"), 1);
+  const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"));
 
   Scenario sc;
   sc.topo = other.params();

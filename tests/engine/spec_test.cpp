@@ -90,6 +90,21 @@ TEST(Spec, RejectsMalformedInput) {
   EXPECT_THROW(parseSpecLine("seed=abc"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("topo=\"XGFT(2; 8,8"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("seed=1..4"), std::invalid_argument);
+  // Sweeps past the per-line job cap fail before anything is expanded, with
+  // the line-numbered error: the full range in both directions, a range too
+  // large to allocate, and a cross product of two in-cap ranges.
+  for (const char* line :
+       {"seed=0..18446744073709551615", "seed=18446744073709551615..0",
+        "seed=1..4000000000", "m1=1..1000 seed=1..1001"}) {
+    try {
+      (void)parseCampaign(std::string("pattern=ring:8\n") + line + "\n");
+      ADD_FAILURE() << "expected invalid_argument for " << line;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("line 2: campaign spec: ", 0), 0u) << what;
+      EXPECT_NE(what.find("1000000"), std::string::npos) << what;
+    }
+  }
   // The retired sim-thread key is now just an unknown key, and the
   // listing of known keys no longer offers it.
   const std::string retired = "sim_threads";
@@ -158,6 +173,17 @@ TEST(Spec, RangeExpansionIsInclusiveBothDirections) {
   ASSERT_EQ(down.size(), 4u);
   EXPECT_EQ(down.front().topo, xgft::xgft2(16, 16, 4));
   EXPECT_EQ(down.back().topo, xgft::xgft2(16, 16, 1));
+  // Ranges touching 2^64-1: ascending to it ends (the counter must not
+  // wrap), descending from it yields every value.
+  const auto toTop =
+      expandCampaignLine("seed=18446744073709551614..18446744073709551615");
+  ASSERT_EQ(toTop.size(), 2u);
+  EXPECT_EQ(toTop.back().seed, 18446744073709551615u);
+  const auto top =
+      expandCampaignLine("seed=18446744073709551615..18446744073709551613");
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top.front().seed, 18446744073709551615u);
+  EXPECT_EQ(top.back().seed, 18446744073709551613u);
 }
 
 TEST(Spec, CrossProductVariesLastKeyFastest) {

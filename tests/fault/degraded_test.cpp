@@ -126,38 +126,6 @@ TEST(DegradedRouting, EveryTableSchemeCompilesAroundFailures) {
   EXPECT_FALSE(first);  // At least one table scheme is registered.
 }
 
-TEST(DegradedRouting, CompressedLayoutMatchesFlatAroundFailures) {
-  // The interval-compressed layout must reproduce the flat degraded table
-  // pair-for-pair: same surviving routes, same unreachable set (compressed
-  // len-0 runs cover both the diagonal and dropped pairs).
-  const Topology topo(xgft::Params({4, 4}, {2, 2}));
-  const FaultPlan plan = makeFaultPlan("links:25", topo, 5);
-  const DegradedTopology view(topo, plan.failedAt(0));
-  for (const char* scheme : {"d-mod-k", "Random"}) {
-    SCOPED_TRACE(scheme);
-    const DegradedRoutes flat =
-        compileDegraded(buildScheme(scheme, topo), view,
-                        UnreachablePolicy::kDrop, 1, core::TableLayout::kFlat);
-    const DegradedRoutes packed = compileDegraded(
-        buildScheme(scheme, topo), view, UnreachablePolicy::kDrop, 2,
-        core::TableLayout::kCompressed);
-    EXPECT_FALSE(flat.table->compressed());
-    ASSERT_TRUE(packed.table->compressed());
-    EXPECT_EQ(packed.unreachable, flat.unreachable);
-    // Overridden tables compile eagerly — no chunk may outlive the view.
-    EXPECT_EQ(packed.table->builtChunks(), packed.table->numChunks());
-    for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
-      for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
-        const auto a = flat.table->upPorts(s, d);
-        const auto b = packed.table->upPorts(s, d);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-            << s << " -> " << d;
-      }
-    }
-    expectTableAvoidsFailures(*packed.table, view, topo);
-  }
-}
-
 /// The blocked verdict routeBlocked gave when it materialized the route's
 /// channel list: any listed channel's link failed.
 bool blockedByChannelList(const DegradedTopology& view, const Topology& topo,
@@ -203,34 +171,31 @@ TEST(DegradedRouting, TablesMatchChannelListReferencePairForPair) {
     const DegradedTopology view(topo, plan.failedAt(0));
     for (const char* scheme : {"d-mod-k", "s-mod-k", "Random", "r-NCA-u"}) {
       const auto router = buildScheme(scheme, topo);
-      for (const core::TableLayout layout :
-           {core::TableLayout::kFlat, core::TableLayout::kCompressed}) {
-        SCOPED_TRACE(p.toString() + " " + scheme +
-                     (layout == core::TableLayout::kFlat ? " flat"
-                                                         : " compressed"));
-        const DegradedRoutes degraded = compileDegraded(
-            router, view, UnreachablePolicy::kDrop, 2, layout);
-        std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> unreachable;
-        for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
-          for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
-            if (s == d) continue;
-            xgft::Route want = router->route(s, d);
-            bool found = !blockedByChannelList(view, topo, s, d, want);
-            for (xgft::Count c = 0; !found && c < topo.numNcas(s, d); ++c) {
-              want = xgft::routeViaNca(topo, s, d, c);
-              found = !blockedByChannelList(view, topo, s, d, want);
-            }
-            ASSERT_EQ(degraded.table->unroutable(s, d), !found)
-                << s << " -> " << d;
-            if (!found) {
-              unreachable.emplace_back(s, d);
-              continue;
-            }
-            ASSERT_EQ(degraded.table->route(s, d), want) << s << " -> " << d;
+      SCOPED_TRACE(p.toString() + " " + scheme);
+      const DegradedRoutes degraded =
+          compileDegraded(router, view, UnreachablePolicy::kDrop, 2);
+      // Overridden tables compile eagerly — no chunk may outlive the view.
+      EXPECT_EQ(degraded.table->builtChunks(), degraded.table->numChunks());
+      std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> unreachable;
+      for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
+        for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
+          if (s == d) continue;
+          xgft::Route want = router->route(s, d);
+          bool found = !blockedByChannelList(view, topo, s, d, want);
+          for (xgft::Count c = 0; !found && c < topo.numNcas(s, d); ++c) {
+            want = xgft::routeViaNca(topo, s, d, c);
+            found = !blockedByChannelList(view, topo, s, d, want);
           }
+          ASSERT_EQ(degraded.table->unroutable(s, d), !found)
+              << s << " -> " << d;
+          if (!found) {
+            unreachable.emplace_back(s, d);
+            continue;
+          }
+          ASSERT_EQ(degraded.table->route(s, d), want) << s << " -> " << d;
         }
-        EXPECT_EQ(degraded.unreachable, unreachable);
       }
+      EXPECT_EQ(degraded.unreachable, unreachable);
     }
   }
 }

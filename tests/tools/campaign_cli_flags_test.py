@@ -6,8 +6,11 @@ Usage: campaign_cli_flags_test.py PATH/TO/campaign_cli
 Each case passes one bad value to --threads, --seeds or --msg-scale on an
 otherwise valid command line.  The CLI must reject it through the usage
 path (exit 2) before running anything, so the --out file must not exist
-afterwards.  A last case checks that a valid line does write --out, so the
-absence checks above cannot pass vacuously.
+afterwards.  Campaigns whose sweeps exceed the per-line job cap (a huge
+--seeds, or a range read from stdin) must fail with the line-numbered
+campaign error, non-zero, before anything is expanded or written.  A last
+case checks that a valid line does write --out, so the absence checks above
+cannot pass vacuously.
 
 Exit codes follow the tools/ contract: 0 all cases pass, 1 a case failed,
 2 environment error (one stderr line, no stack trace).
@@ -33,14 +36,22 @@ BAD_FLAGS = [
     ("--msg-scale", "0"),
 ]
 
+# (extra args, stdin): valid flags whose campaign sweep is over the cap.
+BAD_SWEEPS = [
+    (["--builtin", "smoke", "--seeds", "4000000000"], None),
+    (["-"], "pattern=ring:8 seed=0..18446744073709551615\n"),
+    (["-"], "pattern=ring:8 seed=18446744073709551615..0\n"),
+    (["-"], "pattern=ring:8 seed=1..18446744073709551615\n"),
+]
+
 # A tiny builtin, so the positive control runs in well under a second.
 BASE = ["--builtin", "smoke", "--quiet", "--threads", "1", "--seeds", "1",
         "--msg-scale", "0.03125"]
 
 
-def run(cli, args, out):
+def run(cli, args, out, stdin=None):
     return subprocess.run([cli] + args + ["--out", out], capture_output=True,
-                          text=True, timeout=300, check=False)
+                          text=True, timeout=300, check=False, input=stdin)
 
 
 def main(argv):
@@ -64,6 +75,20 @@ def main(argv):
                 failed += 1
             else:
                 print(f"ok   {label}: exit 2, no output")
+        for i, (args, stdin) in enumerate(BAD_SWEEPS):
+            out = os.path.join(tmp, f"sweep{i}.csv")
+            proc = run(cli, ["--quiet", "--threads", "1"] + args, out, stdin)
+            label = " ".join(args) + (f" <<< {stdin.strip()!r}" if stdin
+                                      else "")
+            if proc.returncode == 0 or os.path.exists(out) or \
+                    "line " not in proc.stderr or \
+                    "1000000" not in proc.stderr:
+                print(f"FAIL {label}: exit {proc.returncode}, out written: "
+                      f"{os.path.exists(out)}\n{proc.stderr}",
+                      file=sys.stderr)
+                failed += 1
+            else:
+                print(f"ok   {label}: exit {proc.returncode}, no output")
         out = os.path.join(tmp, "good.csv")
         proc = run(cli, BASE, out)
         if proc.returncode != 0 or not os.path.exists(out):

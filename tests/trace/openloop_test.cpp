@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/compiled_routes.hpp"
+#include "fault/inject.hpp"
 #include "patterns/source.hpp"
+#include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
 #include "xgft/topology.hpp"
 
@@ -137,6 +144,40 @@ TEST(OpenLoop, SpraySourcesAlsoStream) {
   const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
   EXPECT_NEAR(r.acceptedLoad, 0.3, 0.05);
   EXPECT_GT(r.latency.samples, 0u);
+}
+
+TEST(OpenLoop, TimedFaultPlanRecompilesIntoAVirtualResolver) {
+  // Schemes the engine does not compile (Random) start on a virtual-mode
+  // resolver.  A timed plan's transitions swap recompiled tables into it,
+  // and the run must equal the one that starts from a compiled healthy
+  // table.
+  const Topology topo(xgft::xgft2(16, 16, 10));  // paper-slim
+  const std::shared_ptr<const routing::Router> router =
+      routing::makeRandom(topo, 3);
+  const std::shared_ptr<const core::CompiledRoutes> healthy =
+      core::CompiledRoutes::compile(router);
+  const fault::FaultPlan plan = fault::makeFaultPlan(
+      "timed:" + std::to_string(topo.upLink(1, 0, 0)) + ":20000:60000", topo,
+      1);
+  OpenLoopOptions opt;
+  opt.warmupNs = 20'000;
+  opt.measureNs = 80'000;
+  std::vector<std::shared_ptr<void>> faultStates;  // Outlive each run.
+  opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
+    faultStates.push_back(
+        fault::installFaultPlan(net, plan, router, &resolver));
+  };
+  const auto run = [&](const core::CompiledRoutes* table) {
+    opt.compiled = table;
+    patterns::OpenLoopSource src =
+        makeSource(topo, 0.4, opt.warmupNs + opt.measureNs);
+    return runOpenLoop(topo, *router, src, opt).stats;
+  };
+  const sim::NetworkStats virtualStart = run(nullptr);
+  const sim::NetworkStats compiledStart = run(healthy.get());
+  EXPECT_GT(virtualStart.linkDownNs, 0u);
+  EXPECT_GT(virtualStart.messagesDelivered, 0u);
+  EXPECT_EQ(virtualStart, compiledStart);
 }
 
 TEST(OpenLoop, RejectsOversizedSources) {
