@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
                "(XGFT(2;16,16;1,w2)) ==\n"
             << "msg-scale=" << opt.msgScale << " seeds=" << opt.seeds
             << "\n\n";
-  const auto points =
-      benchutil::slimmingSweep("cg128", opt, /*withRnca=*/false, std::cerr);
+  const auto points = benchutil::slimmingSweep("fig2-cg", opt, std::cerr);
   benchutil::printSweep(points, opt, std::cout);
   return 0;
 }

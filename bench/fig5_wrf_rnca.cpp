@@ -16,8 +16,7 @@ int main(int argc, char** argv) {
                "(XGFT(2;16,16;1,w2)) ==\n"
             << "msg-scale=" << opt.msgScale << " seeds=" << opt.seeds
             << "\n\n";
-  const auto points =
-      benchutil::slimmingSweep("wrf256", opt, /*withRnca=*/true, std::cerr);
+  const auto points = benchutil::slimmingSweep("fig5-wrf", opt, std::cerr);
   benchutil::printSweep(points, opt, std::cout);
   return 0;
 }

@@ -5,14 +5,16 @@
 // w2 = 16..1.  Fig. 2 compares {Random, S-mod-k, D-mod-k, Colored}; Fig. 5
 // adds the proposals {r-NCA-u, r-NCA-d} as boxplots over many seeds.
 //
-// The sweep is declared as a list of ExperimentSpecs and executed by
-// engine::Runner, so it shards over all cores (--threads), reuses each w2
-// topology across algorithms and seeds, and simulates the Full-Crossbar
+// The sweep is the engine's builtin campaign of the same name
+// (engine/campaigns.cpp, also `campaign_cli --builtin fig2-cg`), executed
+// by engine::Runner, so it shards over all cores (--threads), reuses each
+// w2 topology across algorithms and seeds, and simulates the Full-Crossbar
 // reference exactly once — while producing the same numbers the serial
 // harness produced (the engine's per-job results are thread-count
 // independent).
 #pragma once
 
+#include <functional>
 #include <iostream>
 #include <map>
 #include <stdexcept>
@@ -22,6 +24,8 @@
 #include "analysis/report.hpp"
 #include "analysis/stats.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
+#include "engine/campaigns.hpp"
 #include "engine/runner.hpp"
 #include "engine/spec.hpp"
 
@@ -34,40 +38,17 @@ struct SweepPoint {
   std::map<std::string, analysis::BoxStats> boxes;  ///< Seeded algorithms.
 };
 
-/// Runs the progressive-slimming sweep of the builtin workload named by
-/// @p patternSpec ("cg128", "wrf256", ... — see engine::makeWorkload).
-/// @p withRnca adds the Fig. 5 proposals; Random is always box-plotted over
-/// opt.seeds seeds (the paper plots it centered in Fig. 2 and boxed in
-/// Fig. 5 — the median is reported either way).
-inline std::vector<SweepPoint> slimmingSweep(const std::string& patternSpec,
-                                             const Options& opt, bool withRnca,
+/// Runs the builtin slimming campaign @p campaign ("fig2-cg", "fig2-wrf",
+/// "fig5-cg" or "fig5-wrf") at opt.seeds and opt.msgScale, and groups its
+/// slowdowns by (w2, scheme).  Seeded schemes (Random, and in Fig. 5 the
+/// r-NCA proposals) are box-plotted over their seeds — the paper plots
+/// Random centered in Fig. 2 and boxed in Fig. 5, and the median is
+/// reported either way; the others run once and are reported as is.
+inline std::vector<SweepPoint> slimmingSweep(const std::string& campaign,
+                                             const Options& opt,
                                              std::ostream& log) {
-  std::vector<engine::ExperimentSpec> specs;
-  const auto pushSpec = [&](std::uint32_t w2, const std::string& scheme,
-                            std::uint64_t seed) {
-    engine::ExperimentSpec spec;
-    spec.topo = xgft::xgft2(16, 16, w2);
-    spec.pattern = patternSpec;
-    spec.routing = scheme;
-    spec.msgScale = opt.msgScale;
-    spec.seed = seed;
-    specs.push_back(std::move(spec));
-  };
-  std::vector<std::string> boxed{"Random"};
-  if (withRnca) {
-    boxed.push_back("r-NCA-u");
-    boxed.push_back("r-NCA-d");
-  }
-  for (std::uint32_t w2 = 16; w2 >= 1; --w2) {
-    pushSpec(w2, "s-mod-k", 1);
-    pushSpec(w2, "d-mod-k", 1);
-    pushSpec(w2, "colored", 1);
-    for (const std::string& scheme : boxed) {
-      for (std::uint32_t seed = 1; seed <= opt.seeds; ++seed) {
-        pushSpec(w2, scheme, seed);
-      }
-    }
-  }
+  const std::vector<engine::ExperimentSpec> specs = engine::parseCampaign(
+      engine::builtinCampaign(campaign, {opt.seeds, opt.msgScale}));
 
   engine::RunnerOptions ropt;
   ropt.threads = opt.threads;
@@ -82,31 +63,28 @@ inline std::vector<SweepPoint> slimmingSweep(const std::string& patternSpec,
   engine::Runner runner(ropt);
   const engine::CampaignResults results = runner.run(specs);
 
-  // Reassemble figure points; the campaign order above is deterministic, so
-  // jobs can be consumed sequentially.
-  std::vector<SweepPoint> points;
-  std::size_t next = 0;
-  const auto take = [&]() -> const engine::JobResult& {
-    const engine::JobResult& job = results.jobs.at(next++);
+  // w2 descending (16..1, the paper's slimming order), then scheme; each
+  // sample keeps job order, so seeds stay ascending.
+  std::map<std::uint32_t, std::map<std::string, std::vector<double>>,
+           std::greater<>>
+      samples;
+  for (const engine::JobResult& job : results.jobs) {
     if (!job.ok) {
       throw std::runtime_error("sweep job failed (" + job.spec.toLine() +
                                "): " + job.error);
     }
-    return job;
-  };
-  for (std::uint32_t w2 = 16; w2 >= 1; --w2) {
+    samples[job.spec.topo.w(2)][job.spec.routing].push_back(job.slowdown);
+  }
+  std::vector<SweepPoint> points;
+  for (const auto& [w2, schemes] : samples) {
     SweepPoint point;
     point.w2 = w2;
-    point.centered["s-mod-k"] = take().slowdown;
-    point.centered["d-mod-k"] = take().slowdown;
-    point.centered["colored"] = take().slowdown;
-    for (const std::string& scheme : boxed) {
-      std::vector<double> sample;
-      sample.reserve(opt.seeds);
-      for (std::uint32_t seed = 1; seed <= opt.seeds; ++seed) {
-        sample.push_back(take().slowdown);
+    for (const auto& [scheme, sample] : schemes) {
+      if (core::schemeRegistry().at(scheme).seeded) {
+        point.boxes[scheme] = analysis::boxStats(sample);
+      } else {
+        point.centered[scheme] = sample.front();
       }
-      point.boxes[scheme] = analysis::boxStats(sample);
     }
     points.push_back(std::move(point));
   }

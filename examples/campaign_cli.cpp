@@ -2,9 +2,10 @@
 //
 // Runs a campaign file (one sweepable key=value spec per line, see
 // engine/spec.hpp) or one of the builtin campaigns that replay the paper's
-// figure sweeps, sharded over a work-stealing thread pool, and emits one
-// deterministic CSV row per job.  The CSV is byte-identical regardless of
-// --threads, so campaign outputs can be diffed across machines.
+// figure sweeps, spread over a pool of workers that claim jobs from one
+// shared counter, and emits one deterministic CSV row per job.  The CSV is
+// byte-identical regardless of --threads, so campaign outputs can be diffed
+// across machines.
 //
 // Every axis is registry-driven (core/scenario.hpp): the --list-* flags
 // enumerate whatever schemes, patterns, topology presets and builtin

@@ -1,6 +1,7 @@
 #include "core/compiled_routes.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -64,6 +65,18 @@ ColumnCost scanColumn(const routing::Router& r, bool byDst,
   return cost;
 }
 
+/// @p topo's host count as a 32-bit rank.  Interval ranks and guide
+/// columns are 32-bit, so a topology with 2^32 hosts or more has no table.
+std::uint32_t hostRanks(const xgft::Topology& topo, const char* caller) {
+  const xgft::Count n = topo.numHosts();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        std::string(caller) + ": " + std::to_string(n) +
+        " hosts exceed the 32-bit host ranks of a forwarding table");
+  }
+  return static_cast<std::uint32_t>(n);
+}
+
 }  // namespace
 
 CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
@@ -90,17 +103,22 @@ CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
 }
 
 std::uint64_t CompiledRoutes::tableBytes(const xgft::Topology& topo) {
-  const std::uint64_t pairs =
-      static_cast<std::uint64_t>(topo.numHosts()) * topo.numHosts();
-  return pairs * (static_cast<std::uint64_t>(topo.height()) *
-                      sizeof(std::uint32_t) +
-                  sizeof(std::uint8_t));
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t hosts = topo.numHosts();
+  const std::uint64_t pairBytes =
+      static_cast<std::uint64_t>(topo.height()) * sizeof(std::uint32_t) +
+      sizeof(std::uint8_t);
+  // Saturates: at 2^32 hosts the pair count alone wraps 64 bits.
+  if (hosts != 0 && hosts > kMax / hosts) return kMax;
+  const std::uint64_t pairs = hosts * hosts;
+  if (pairs > kMax / pairBytes) return kMax;
+  return pairs * pairBytes;
 }
 
 std::uint64_t CompiledRoutes::estimateCompressedBytes(
     const routing::Router& router) {
   const std::uint32_t n =
-      static_cast<std::uint32_t>(router.topology().numHosts());
+      hostRanks(router.topology(), "CompiledRoutes::estimateCompressedBytes");
   if (n == 0) return 0;
   // Up to 8 evenly spaced guide columns per axis; the cheaper axis' average
   // per-column bytes extrapolates to all n columns — mirroring the axis
@@ -132,6 +150,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
   if (!router) {
     throw std::invalid_argument("CompiledRoutes::compile: null router");
   }
+  (void)hostRanks(router->topology(), "CompiledRoutes::compile");
   return std::shared_ptr<CompiledRoutes>(new CompiledRoutes(std::move(router)));
 }
 

@@ -57,7 +57,8 @@ class CompiledRoutes {
   /// route is validated against the topology as its chunk builds; a
   /// malformed route throws std::invalid_argument from that lookup.  The
   /// router (and through it the topology) is kept alive by the returned
-  /// handle.
+  /// handle.  Host ranks are 32-bit: a topology with 2^32 hosts or more
+  /// throws std::invalid_argument.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
       std::shared_ptr<const routing::Router> router);
 
@@ -87,14 +88,16 @@ class CompiledRoutes {
   /// Bytes of a dense per-pair table for a topology (H^2 pairs of `height`
   /// port words and one length byte) — the engine's budget yardstick: a
   /// scheme whose estimateCompressedBytes() exceeds it gains nothing from a
-  /// table and routes virtually.
+  /// table and routes virtually.  Saturates at UINT64_MAX instead of
+  /// wrapping (2^32 hosts make 2^64 pairs).
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
 
   /// Deterministic sampled estimate of @p router's table footprint: a
   /// handful of guide columns are compressed along both axes and the denser
   /// axis' per-column bytes extrapolate to the full table.  Schemes with
   /// per-pair randomness estimate near (or above) tableBytes(), which is how
-  /// the engine keeps them on virtual routing.
+  /// the engine keeps them on virtual routing.  Throws
+  /// std::invalid_argument where compile() would (2^32 hosts or more).
   [[nodiscard]] static std::uint64_t estimateCompressedBytes(
       const routing::Router& router);
 

@@ -1,11 +1,13 @@
 #include "engine/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "analysis/contention.hpp"
 #include "core/scenario.hpp"
@@ -89,14 +91,20 @@ T CampaignCache::Memo<T>::get(const std::string& key, Build&& build) {
     try {
       promise->set_value(build());
     } catch (...) {
+      // Memoized like a value: every requester of the key, concurrent or
+      // later, rethrows this error and counts a hit, so the hit/miss counts
+      // do not depend on thread timing.
       promise->set_exception(std::current_exception());
-      // Don't poison the key: current waiters see this failure, but a later
-      // request retries the build (the failure may have been transient).
-      core::LockGuard lock(mu);
-      entries.erase(key);
     }
   }
-  return future.get();  // Rethrows the builder's exception for every waiter.
+  return future.get();
+}
+
+template <typename T>
+std::pair<std::uint64_t, std::uint64_t> CampaignCache::Memo<T>::counts()
+    const {
+  core::LockGuard lock(mu);
+  return {hits, misses};
 }
 
 std::shared_ptr<const xgft::Topology> CampaignCache::topology(
@@ -199,36 +207,12 @@ sim::TimeNs CampaignCache::crossbarMakespan(const ExperimentSpec& spec,
 
 CacheStats CampaignCache::stats() const {
   CacheStats s;
-  {
-    core::LockGuard lock(topologies_.mu);
-    s.topologyHits = topologies_.hits;
-    s.topologyMisses = topologies_.misses;
-  }
-  {
-    core::LockGuard lock(routers_.mu);
-    s.routerHits = routers_.hits;
-    s.routerMisses = routers_.misses;
-  }
-  {
-    core::LockGuard lock(tables_.mu);
-    s.tableHits = tables_.hits;
-    s.tableMisses = tables_.misses;
-  }
-  {
-    core::LockGuard lock(references_.mu);
-    s.referenceHits = references_.hits;
-    s.referenceMisses = references_.misses;
-  }
-  {
-    core::LockGuard lock(degraded_.mu);
-    s.degradedHits = degraded_.hits;
-    s.degradedMisses = degraded_.misses;
-  }
-  {
-    core::LockGuard lock(compressed_.mu);
-    s.compressedHits = compressed_.hits;
-    s.compressedMisses = compressed_.misses;
-  }
+  std::tie(s.topologyHits, s.topologyMisses) = topologies_.counts();
+  std::tie(s.routerHits, s.routerMisses) = routers_.counts();
+  std::tie(s.tableHits, s.tableMisses) = tables_.counts();
+  std::tie(s.referenceHits, s.referenceMisses) = references_.counts();
+  std::tie(s.degradedHits, s.degradedMisses) = degraded_.counts();
+  std::tie(s.compressedHits, s.compressedMisses) = compressed_.counts();
   return s;
 }
 
@@ -236,9 +220,14 @@ ForwardingStats CampaignCache::forwardingStats() const {
   ForwardingStats f;
   core::LockGuard lock(compressed_.mu);
   // std::map: ordered iteration, deterministic sums.  Called after the pool
-  // joined, so every future is ready (failed builds erased their entries).
+  // joined, so every future is ready.
   for (const auto& [key, future] : compressed_.entries) {
-    const std::shared_ptr<const core::CompiledRoutes> table = future.get();
+    std::shared_ptr<const core::CompiledRoutes> table;
+    try {
+      table = future.get();
+    } catch (...) {
+      continue;  // A failed build: no table to count.
+    }
     if (!table) continue;  // Estimate exceeded the budget (virtual fallback).
     f.tableBytesFlat += core::CompiledRoutes::tableBytes(table->topology());
     f.tableBytesCompressed += table->forwardingBytes();
@@ -281,102 +270,29 @@ std::shared_ptr<const core::CompiledRoutes> healthyTable(
   return table;
 }
 
-/// The open-loop (source=) job path: no trace, no crossbar reference — the
-/// streaming source runs through trace::runOpenLoop and the measurement
-/// window's operating point fills the load–latency columns.
-void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
-                    const RunnerOptions& opt, JobResult& result) {
-  const core::SchemeInfo& scheme = core::schemeRegistry().at(spec.routing);
-  if (scheme.patternAware) {
-    throw std::invalid_argument(
-        "scheme '" + spec.routing +
-        "' is pattern-aware and needs a closed-loop pattern= workload");
-  }
-  const std::shared_ptr<const xgft::Topology> topo =
-      cache.topology(spec.topo);
-  const trace::SprayConfig sprayCfg = sprayConfigFor(scheme, spec);
-  // Oblivious routers never look at the workload, so the cached router is
-  // shared with closed-loop jobs under the same key.
-  const patterns::PhasedPattern noApp;
-  const std::shared_ptr<const routing::Router> router =
-      cache.router(spec, topo, noApp);
-
-  // Fault plans route through recompiled tables, so a faulted job needs the
-  // compiled path even when the campaign opted out of it.
+/// The job's fault plan, checked against everything that can refuse it
+/// before any router or table is built.  Fault plans route through
+/// recompiled tables, so they need a topology within the table budget;
+/// closed-loop phase replay takes static plans only.
+fault::FaultPlan validatedFaultPlan(const ExperimentSpec& spec,
+                                    const xgft::Topology& topo,
+                                    const RunnerOptions& opt, bool openLoop) {
   fault::FaultPlan plan;
-  if (!spec.faults.empty()) {
-    (void)fault::requireDegradable(spec.routing);
-    plan = fault::makeFaultPlan(spec.faults, *topo,
-                                deriveSeed(spec.seed, "fault"));
-    if (core::CompiledRoutes::tableBytes(*topo) > opt.maxCompiledTableBytes) {
-      throw std::invalid_argument(
-          "fault plans need compiled forwarding tables, but this topology's "
-          "table exceeds maxCompiledTableBytes");
-    }
+  if (spec.faults.empty()) return plan;
+  (void)fault::requireDegradable(spec.routing);
+  plan = fault::makeFaultPlan(spec.faults, topo,
+                              deriveSeed(spec.seed, "fault"));
+  if (!openLoop && plan.hasTimed()) {
+    throw std::invalid_argument(
+        "timed fault plans need an open-loop job (source=): closed-loop "
+        "phase replay cannot drop messages without stalling its barrier");
   }
-
-  // A faulted job here is within the budget (checked above).
-  std::shared_ptr<const core::CompiledRoutes> compiled;
-  if (scheme.mode == core::RouteMode::kTable &&
-      (opt.compileRoutes || !plan.empty())) {
-    compiled = healthyTable(spec, cache, router, opt, /*eager=*/false);
+  if (core::CompiledRoutes::tableBytes(topo) > opt.maxCompiledTableBytes) {
+    throw std::invalid_argument(
+        "fault plans need compiled forwarding tables, but this topology's "
+        "table exceeds maxCompiledTableBytes");
   }
-  // The t = 0 degraded table replaces the healthy one for static failures;
-  // timed-only plans start healthy and swap tables at their transitions.
-  std::shared_ptr<const core::CompiledRoutes> degradedTable;
-  if (!plan.empty() && !plan.failedAt(0).empty()) {
-    degradedTable =
-        cache.degradedRoutes(spec, router, plan,
-                             fault::UnreachablePolicy::kDrop,
-                             std::max(1u, opt.compileThreads));
-  }
-
-  const sim::TimeNs stopNs = opt.openLoopWarmupNs + opt.openLoopMeasureNs;
-  const std::unique_ptr<patterns::TrafficSource> source =
-      spec.scenario(opt.sim).makeSource(
-          static_cast<patterns::Rank>(topo->numHosts()), 0, stopNs);
-
-  trace::OpenLoopOptions ol;
-  ol.warmupNs = opt.openLoopWarmupNs;
-  ol.measureNs = opt.openLoopMeasureNs;
-  ol.spray = sprayCfg;
-  ol.compiled = degradedTable ? degradedTable.get() : compiled.get();
-  const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
-  ol.probe = recorder.get();
-  // Owns every table recompiled at the plan's transition instants; must
-  // outlive the run (the resolver holds raw pointers into it).
-  std::shared_ptr<void> faultState;
-  if (!plan.empty()) {
-    ol.prepare = [&](sim::Network& net, trace::RouteSetResolver& resolver) {
-      fault::InstallOptions io;
-      io.policy = sim::FaultPolicy::kReroute;
-      io.unreachable = fault::UnreachablePolicy::kDrop;
-      io.compileThreads = std::max(1u, opt.compileThreads);
-      io.applyStatic = false;  // The t = 0 table is already ol.compiled.
-      faultState = fault::installFaultPlan(net, plan, router, &resolver, io);
-    };
-  }
-  const trace::OpenLoopResult r =
-      trace::runOpenLoop(*topo, *router, *source, ol, opt.sim);
-  result.telemetry = recorder;
-
-  result.makespanNs = r.lastDeliveryNs;
-  result.net = r.stats;
-  result.routeArenaEntries = r.routeArenaEntries;
-  result.utilMax = r.utilMax;
-  result.utilMean = r.utilMean;
-  result.openLoop = true;
-  // Measured, not the configured nominal: gap rounding and the bursty
-  // line-rate clamp make the truly offered rate deviate from spec.load
-  // (which the CSV reports separately in the `load` column).
-  result.offeredLoad = r.offeredLoad;
-  result.acceptedLoad = r.acceptedLoad;
-  result.latencySamples = r.latency.samples;
-  result.latencyMinNs = r.latency.minNs;
-  result.latencyMeanNs = r.latency.meanNs;
-  result.latencyP50Ns = r.latency.p50Ns;
-  result.latencyP99Ns = r.latency.p99Ns;
-  result.latencyMaxNs = r.latency.maxNs;
+  return plan;
 }
 
 }  // namespace
@@ -388,16 +304,20 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
   result.jobIndex = jobIndex;
   result.spec = spec;
   try {
-    if (!spec.source.empty()) {
-      runOpenLoopJob(spec, cache, opt, result);
-      result.ok = true;
-      result.wallNs = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - jobStart)
-              .count());
-      return result;
+    // 1. Validate.  Every check that can refuse the job runs before the
+    // first router, table or degraded-table memo call.  A closed-loop job
+    // replays a phased pattern; an open-loop (source=) job streams a source
+    // and keeps `app` empty — oblivious routers never look at it, so its
+    // cached router is shared with closed-loop jobs under the same key.
+    const bool openLoop = !spec.source.empty();
+    const core::SchemeInfo& scheme = core::schemeRegistry().at(spec.routing);
+    if (openLoop && scheme.patternAware) {
+      throw std::invalid_argument(
+          "scheme '" + spec.routing +
+          "' is pattern-aware and needs a closed-loop pattern= workload");
     }
-    const patterns::PhasedPattern app = makeWorkload(spec);
+    const patterns::PhasedPattern app =
+        openLoop ? patterns::PhasedPattern{} : makeWorkload(spec);
     const std::shared_ptr<const xgft::Topology> topo = cache.topology(spec.topo);
     if (app.numRanks > topo->numHosts()) {
       throw std::invalid_argument("workload has " +
@@ -405,94 +325,130 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
                                   " ranks but the topology only " +
                                   std::to_string(topo->numHosts()) + " hosts");
     }
+    const fault::FaultPlan plan =
+        validatedFaultPlan(spec, *topo, opt, openLoop);
 
-    const core::SchemeInfo& scheme = core::schemeRegistry().at(spec.routing);
-    const trace::SprayConfig sprayCfg = sprayConfigFor(scheme, spec);
-    // Per-segment algorithms never consult the router; the cache hands them
-    // the inert d-mod-k placeholder the Replayer interface wants.
-    const std::shared_ptr<const routing::Router> router =
-        cache.router(spec, topo, app);
-
+    // 2. Build.  Per-segment algorithms never consult the router; the cache
+    // hands them the inert d-mod-k placeholder the run interfaces want.
     // Static schemes route through the compiled forwarding table (shared
     // across every job with the same router key) unless no table pays —
     // then the virtual path serves, which costs one route() per distinct
-    // (src, dst) pair rather than per message (trace::RouteSetResolver), so
-    // it is off every workload's per-message hot path too.
-    std::shared_ptr<const core::CompiledRoutes> compiled;
-    if (scheme.mode == core::RouteMode::kTable && opt.compileRoutes) {
-      compiled = healthyTable(spec, cache, router, opt, /*eager=*/true);
+    // (src, dst) pair rather than per message (trace::RouteSetResolver).
+    // Fault plans route through compiled tables, so a faulted open-loop job
+    // builds the healthy table even when the campaign opted out of it.
+    const std::shared_ptr<const routing::Router> router =
+        cache.router(spec, topo, app);
+    const std::uint32_t compileThreads = std::max(1u, opt.compileThreads);
+    std::shared_ptr<const core::CompiledRoutes> table;
+    if (scheme.mode == core::RouteMode::kTable &&
+        (opt.compileRoutes || (openLoop && !plan.empty()))) {
+      table = healthyTable(spec, cache, router, opt, /*eager=*/!openLoop);
+    }
+    // The t = 0 degraded table replaces the healthy one for static
+    // failures; timed-only plans start healthy and swap tables at their
+    // transitions.  Closed-loop jobs compile it under kThrow: a partitioned
+    // pair would stall the phase barrier forever, so it fails loudly here.
+    if (!plan.failedAt(0).empty()) {
+      table = cache.degradedRoutes(spec, router, plan,
+                                   openLoop ? fault::UnreachablePolicy::kDrop
+                                            : fault::UnreachablePolicy::kThrow,
+                                   compileThreads);
     }
 
-    // Closed-loop fault path: static plans only.  The degraded table is
-    // compiled under kThrow (a partitioned pair would stall the phase
-    // barrier forever, so it must fail loudly at compile time), and the
-    // dead links still get their calendar events so linkDownNs accounts —
-    // no traffic touches them, every recompiled route avoids the failures.
-    fault::FaultPlan plan;
-    std::shared_ptr<const core::CompiledRoutes> degradedTable;
-    if (!spec.faults.empty()) {
-      (void)fault::requireDegradable(spec.routing);
-      plan = fault::makeFaultPlan(spec.faults, *topo,
-                                  deriveSeed(spec.seed, "fault"));
-      if (plan.hasTimed()) {
-        throw std::invalid_argument(
-            "timed fault plans need an open-loop job (source=): closed-loop "
-            "phase replay cannot drop messages without stalling its barrier");
-      }
-      if (core::CompiledRoutes::tableBytes(*topo) >
-          opt.maxCompiledTableBytes) {
-        throw std::invalid_argument(
-            "fault plans need compiled forwarding tables, but this "
-            "topology's table exceeds maxCompiledTableBytes");
-      }
-      if (!plan.empty()) {
-        degradedTable =
-            cache.degradedRoutes(spec, router,
-                                 plan, fault::UnreachablePolicy::kThrow,
-                                 std::max(1u, opt.compileThreads));
-      }
-    }
-
-    sim::Network net(*topo, opt.sim);
-    if (!plan.empty()) plan.scheduleOn(net);
+    // 3. Run.  One fault install for both loops: the link events, the
+    // reroute policy and — given a resolver — the recompiles at each timed
+    // transition.  A closed-loop plan is static and its degraded table
+    // routes every pair around the failures, so no segment meets a dead
+    // port; the events still fire so linkDownNs accounts.
+    std::shared_ptr<void> faultState;  // Owns recompiled tables; outlives
+                                       // the run (the resolver points in).
+    const auto installFaults = [&](sim::Network& net,
+                                   trace::RouteSetResolver* resolver) {
+      fault::InstallOptions io;
+      io.policy = sim::FaultPolicy::kReroute;
+      io.unreachable = fault::UnreachablePolicy::kDrop;
+      io.compileThreads = compileThreads;
+      io.applyStatic = false;  // The t = 0 table is already `table`.
+      faultState = fault::installFaultPlan(net, plan, router, resolver, io);
+    };
+    const trace::SprayConfig sprayCfg = sprayConfigFor(scheme, spec);
     const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
-    if (recorder) net.setProbe(recorder.get());
     result.telemetry = recorder;
-    const trace::Trace t = trace::traceFromPhases(app);
-    const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-    trace::Replayer replayer(
-        net, t, mapping, *router, sprayCfg,
-        degradedTable ? degradedTable.get() : compiled.get());
-    result.makespanNs = replayer.run();
-    result.net = net.stats();
-    result.routeArenaEntries = net.routes().arenaEntries();
+    if (openLoop) {
+      const sim::TimeNs stopNs = opt.openLoopWarmupNs + opt.openLoopMeasureNs;
+      const std::unique_ptr<patterns::TrafficSource> source =
+          spec.scenario(opt.sim).makeSource(
+              static_cast<patterns::Rank>(topo->numHosts()), 0, stopNs);
+      trace::OpenLoopOptions ol;
+      ol.warmupNs = opt.openLoopWarmupNs;
+      ol.measureNs = opt.openLoopMeasureNs;
+      ol.spray = sprayCfg;
+      ol.compiled = table.get();
+      ol.probe = recorder.get();
+      if (!plan.empty()) {
+        ol.prepare = [&](sim::Network& net, trace::RouteSetResolver& res) {
+          installFaults(net, &res);
+        };
+      }
+      const trace::OpenLoopResult r =
+          trace::runOpenLoop(*topo, *router, *source, ol, opt.sim);
+      result.makespanNs = r.lastDeliveryNs;
+      result.net = r.stats;
+      result.routeArenaEntries = r.routeArenaEntries;
+      result.utilMax = r.utilMax;
+      result.utilMean = r.utilMean;
+      result.openLoop = true;
+      // Measured, not the configured nominal: gap rounding and the bursty
+      // line-rate clamp make the truly offered rate deviate from spec.load
+      // (which the CSV reports separately in the `load` column).
+      result.offeredLoad = r.offeredLoad;
+      result.acceptedLoad = r.acceptedLoad;
+      result.latencySamples = r.latency.samples;
+      result.latencyMinNs = r.latency.minNs;
+      result.latencyMeanNs = r.latency.meanNs;
+      result.latencyP50Ns = r.latency.p50Ns;
+      result.latencyP99Ns = r.latency.p99Ns;
+      result.latencyMaxNs = r.latency.maxNs;
+    } else {
+      sim::Network net(*topo, opt.sim);
+      if (!plan.empty()) installFaults(net, nullptr);
+      if (recorder) net.setProbe(recorder.get());
+      const trace::Trace t = trace::traceFromPhases(app);
+      const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
+      trace::Replayer replayer(net, t, mapping, *router, sprayCfg,
+                               table.get());
+      result.makespanNs = replayer.run();
+      result.net = net.stats();
+      result.routeArenaEntries = net.routes().arenaEntries();
+      const sim::WireUtilization util =
+          sim::wireUtilization(net, result.makespanNs);
+      result.utilMax = util.max;
+      result.utilMean = util.mean;
 
-    const sim::WireUtilization util =
-        sim::wireUtilization(net, result.makespanNs);
-    result.utilMax = util.max;
-    result.utilMean = util.mean;
+      const sim::TimeNs reference = cache.crossbarMakespan(spec, app, opt.sim);
+      result.slowdown = reference == 0
+                            ? 1.0
+                            : static_cast<double>(result.makespanNs) /
+                                  static_cast<double>(reference);
 
-    const sim::TimeNs reference = cache.crossbarMakespan(spec, app, opt.sim);
-    result.slowdown = reference == 0
-                          ? 1.0
-                          : static_cast<double>(result.makespanNs) /
-                                static_cast<double>(reference);
-
-    // Contention/census columns describe the healthy router's routes, which
-    // a faulted job does not use — leave them at their defaults there.
-    if (opt.collectContention && scheme.mode == core::RouteMode::kTable &&
-        spec.faults.empty()) {
-      const patterns::Pattern flat = app.flattened();
-      const analysis::LoadSummary loads =
-          analysis::computeLoads(*topo, flat, *router);
-      result.maxFlowsPerChannel = loads.maxFlowsPerChannel;
-      result.maxDemand = loads.maxDemand;
-      const std::vector<std::uint64_t> census =
-          analysis::ncaRouteCensusForPattern(*topo, flat, *router,
-                                             topo->height());
-      if (!census.empty()) {
-        result.ncaRoutesMin = *std::min_element(census.begin(), census.end());
-        result.ncaRoutesMax = *std::max_element(census.begin(), census.end());
+      // Contention/census columns describe the healthy router's routes,
+      // which a faulted job does not use — leave them at their defaults.
+      if (opt.collectContention && scheme.mode == core::RouteMode::kTable &&
+          spec.faults.empty()) {
+        const patterns::Pattern flat = app.flattened();
+        const analysis::LoadSummary loads =
+            analysis::computeLoads(*topo, flat, *router);
+        result.maxFlowsPerChannel = loads.maxFlowsPerChannel;
+        result.maxDemand = loads.maxDemand;
+        const std::vector<std::uint64_t> census =
+            analysis::ncaRouteCensusForPattern(*topo, flat, *router,
+                                               topo->height());
+        if (!census.empty()) {
+          result.ncaRoutesMin =
+              *std::min_element(census.begin(), census.end());
+          result.ncaRoutesMax =
+              *std::max_element(census.begin(), census.end());
+        }
       }
     }
     result.ok = true;
@@ -536,77 +492,28 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   RunnerOptions jobOpt = opt_;
   jobOpt.compileThreads = std::max(1u, poolWidth / threads);
 
+  // One shared next-job counter: each worker claims the lowest unclaimed
+  // index until none is left.  Results land in their job's slot, so the
+  // order jobs finish in never shows in the output.
+  std::atomic<std::size_t> next{0};
   core::Mutex doneMu;  // Serializes onJobDone.
-  const auto finishJob = [&](std::uint32_t index) {
-    JobResult job = runJob(specs[index], index, cache_, jobOpt);
-    if (opt_.onJobDone) {
-      core::LockGuard lock(doneMu);
-      opt_.onJobDone(job);
-      results.jobs[index] = std::move(job);
-    } else {
-      results.jobs[index] = std::move(job);
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1); i < specs.size();
+         i = next.fetch_add(1)) {
+      JobResult job =
+          runJob(specs[i], static_cast<std::uint32_t>(i), cache_, jobOpt);
+      if (opt_.onJobDone) {
+        core::LockGuard lock(doneMu);
+        opt_.onJobDone(job);
+      }
+      results.jobs[i] = std::move(job);
     }
   };
-
-  if (threads <= 1) {
-    for (std::uint32_t i = 0; i < specs.size(); ++i) finishJob(i);
-  } else {
-    // Work-stealing: jobs are dealt block-cyclically to per-worker deques;
-    // a worker drains its own deque from the front and steals from the back
-    // of the most loaded peer when empty.  Jobs never enqueue new jobs, so
-    // once every deque is empty a worker can retire.
-    struct WorkerQueue {
-      core::Mutex mu;
-      std::deque<std::uint32_t> q XGFT_GUARDED_BY(mu);
-    };
-    std::vector<WorkerQueue> queues(threads);
-    for (std::uint32_t i = 0; i < specs.size(); ++i) {
-      // Single-threaded dealing phase, but the guard keeps the analysis
-      // exact (and it is uncontended, so it costs nothing).
-      WorkerQueue& mine = queues[i % threads];
-      core::LockGuard lock(mine.mu);
-      mine.q.push_back(i);
-    }
-
-    const auto popOwn = [&](std::uint32_t w, std::uint32_t& out) {
-      WorkerQueue& own = queues[w];
-      core::LockGuard lock(own.mu);
-      if (own.q.empty()) return false;
-      out = own.q.front();
-      own.q.pop_front();
-      return true;
-    };
-    const auto steal = [&](std::uint32_t thief, std::uint32_t& out) {
-      std::uint32_t victim = threads;
-      std::size_t best = 0;
-      for (std::uint32_t v = 0; v < threads; ++v) {
-        if (v == thief) continue;
-        WorkerQueue& peer = queues[v];
-        core::LockGuard lock(peer.mu);
-        if (peer.q.size() > best) {
-          best = peer.q.size();
-          victim = v;
-        }
-      }
-      if (victim == threads) return false;
-      WorkerQueue& loser = queues[victim];
-      core::LockGuard lock(loser.mu);
-      if (loser.q.empty()) return false;
-      out = loser.q.back();
-      loser.q.pop_back();
-      return true;
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        std::uint32_t job = 0;
-        while (popOwn(w, job) || steal(w, job)) finishJob(job);
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (std::uint32_t w = 1; w < threads; ++w) pool.emplace_back(work);
+  work();  // The calling thread is the pool's first worker.
+  for (std::thread& t : pool) t.join();
 
   results.sortByIndex();
   results.threadsUsed = threads;

@@ -1,16 +1,20 @@
 // runner.hpp — The parallel experiment-campaign engine.
 //
 // The simulator is single-threaded by design (event ties break by insertion
-// order; see DESIGN.md), so the engine parallelizes *across* jobs: a
-// work-stealing pool of workers, each executing whole ExperimentSpecs with
-// its own sim::Network.  Two properties make campaigns fast and exact:
+// order; see DESIGN.md), so the engine parallelizes *across* jobs: a pool of
+// workers claims job indices from one shared counter and executes whole
+// ExperimentSpecs, each with its own sim::Network.  Every job, closed-loop
+// replay or open-loop stream, runs the same three steps in runJob:
+// validate (build nothing), build the router and tables, run.  Two
+// properties make campaigns fast and exact:
 //
 //  * Memoization.  Topology construction, routing tables and the
 //    Full-Crossbar reference run are cached behind keys derived from the
 //    spec, so a sweep that varies only the seed or the pattern reuses the
 //    expensive pieces (the Colored optimizer dominates cold-start cost).
 //    In-flight builds are shared: two workers missing on the same key wait
-//    on one build instead of duplicating it.
+//    on one build instead of duplicating it.  Failed builds are memoized
+//    too, so hit/miss counts do not depend on thread timing.
 //
 //  * Determinism.  Every job's result is a pure function of its spec, and
 //    results are keyed by job index, so the aggregated CSV is byte-identical
@@ -22,6 +26,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_routes.hpp"
@@ -39,7 +44,9 @@ namespace engine {
 
 /// Shared, thread-safe memo for the expensive per-campaign artifacts.
 /// Values are built at most once per key; concurrent requesters for a key
-/// being built block on the builder's future.
+/// being built block on the builder's future.  A build that throws is
+/// memoized as its error: one miss, and every later request is a hit that
+/// rethrows it.
 class CampaignCache {
  public:
   /// The topology for @p params (built once per distinct parameter set).
@@ -120,9 +127,13 @@ class CampaignCache {
     std::uint64_t hits XGFT_GUARDED_BY(mu) = 0;
     std::uint64_t misses XGFT_GUARDED_BY(mu) = 0;
 
-    /// Returns the value for @p key, invoking @p build at most once.
+    /// Returns the value for @p key, invoking @p build at most once.  A
+    /// build that throws is memoized too: every request rethrows its error.
     template <typename Build>
     T get(const std::string& key, Build&& build);
+
+    /// (hits, misses), read under the lock.
+    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> counts() const;
   };
 
   Memo<std::shared_ptr<const xgft::Topology>> topologies_;
@@ -193,15 +204,20 @@ struct RunnerOptions {
 };
 
 /// Executes one spec against a caller-provided cache.  Never throws: any
-/// failure is captured in JobResult::error.  This is the unit of work the
-/// pool schedules, exposed for tests and for callers that want their own
-/// scheduling.
+/// failure is captured in JobResult::error.  Closed- and open-loop jobs
+/// share one sequence: validate (scheme vs workload, rank count, fault
+/// plan and table budget) before any router or table memo call, then build
+/// the router, the healthy table and the t = 0 degraded table, then run
+/// the replay or the open-loop stream with the plan installed through
+/// fault::installFaultPlan.  This is the unit of work the pool schedules,
+/// exposed for tests and for callers that want their own scheduling.
 [[nodiscard]] JobResult runJob(const ExperimentSpec& spec,
                                std::uint32_t jobIndex, CampaignCache& cache,
                                const RunnerOptions& opt);
 
-/// The campaign engine: owns the cache, shards jobs over a work-stealing
-/// pool, aggregates results sorted by job index.
+/// The campaign engine: owns the cache, runs jobs on a pool whose workers
+/// claim the next job index from one shared atomic counter, and aggregates
+/// results by job index.
 class Runner {
  public:
   explicit Runner(RunnerOptions opt = {});

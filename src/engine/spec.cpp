@@ -223,6 +223,14 @@ ExperimentSpec specFromAssignments(
   return spec;
 }
 
+/// @p value as it must appear after `key=`: quoted when it holds a byte
+/// that ends an unquoted value (tokenize() stops at " \t#"), so toLine()
+/// round-trips every value a quoted token can carry.
+std::string valueToken(const std::string& value) {
+  if (value.find_first_of(" \t#") == std::string::npos) return value;
+  return '"' + value + '"';
+}
+
 }  // namespace
 
 TelemetryLevel parseTelemetryLevel(const std::string& value) {
@@ -277,15 +285,16 @@ std::string ExperimentSpec::toLine() const {
   std::ostringstream os;
   os << "topo=\"" << topo.toString() << "\"";
   if (source.empty()) {
-    os << " pattern=" << pattern;
+    os << " pattern=" << valueToken(pattern);
   } else {
-    os << " source=" << source << " load=" << formatShortest(load);
+    os << " source=" << valueToken(source)
+       << " load=" << formatShortest(load);
   }
   os << " routing=" << routing << " msg_scale=" << formatShortest(msgScale)
      << " seed=" << seed;
   // faults= and telemetry= render only when set, so healthy pre-fault
   // lines round-trip byte-exactly.
-  if (!faults.empty()) os << " faults=" << faults;
+  if (!faults.empty()) os << " faults=" << valueToken(faults);
   if (telemetry != TelemetryLevel::kOff) {
     os << " telemetry=" << telemetryLevelName(telemetry);
   }

@@ -51,20 +51,4 @@ NodeIndex indexOf(const Params& p, const Label& label) {
   return index;
 }
 
-std::uint32_t leafDigit(const Params& p, NodeIndex leaf, std::uint32_t i) {
-  NodeIndex rest = leaf;
-  for (std::uint32_t j = 1; j < i; ++j) rest /= p.m(j);
-  return static_cast<std::uint32_t>(rest % p.m(i));
-}
-
-std::vector<std::uint32_t> leafDigits(const Params& p, NodeIndex leaf) {
-  std::vector<std::uint32_t> digits(p.height());
-  NodeIndex rest = leaf;
-  for (std::uint32_t i = 1; i <= p.height(); ++i) {
-    digits[i - 1] = static_cast<std::uint32_t>(rest % p.m(i));
-    rest /= p.m(i);
-  }
-  return digits;
-}
-
 }  // namespace xgft

@@ -71,14 +71,4 @@ class Label {
 /// Throws std::invalid_argument if any digit is out of range for its radix.
 [[nodiscard]] NodeIndex indexOf(const Params& p, const Label& label);
 
-/// Digit position i (1-based) of leaf @p leaf, i.e. M_i in the leaf's label.
-/// Equivalent to labelOf(p, 0, leaf).digit(i) but without materializing the
-/// whole label; routing code calls this in hot loops.
-[[nodiscard]] std::uint32_t leafDigit(const Params& p, NodeIndex leaf,
-                                      std::uint32_t i);
-
-/// All digits of leaf @p leaf at once (M_1 at digits[0]).
-[[nodiscard]] std::vector<std::uint32_t> leafDigits(const Params& p,
-                                                    NodeIndex leaf);
-
 }  // namespace xgft

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,6 +88,39 @@ TEST(CompiledRoutes, TableBytesMatchesLayout) {
   const xgft::Topology topo(xgft::xgft2(4, 4, 2));
   // 16 hosts, height 2: 256 pairs * (2 * 4 + 1) bytes.
   EXPECT_EQ(CompiledRoutes::tableBytes(topo), 256u * 9u);
+}
+
+/// Never routes: stands in where a real router cannot be built (the
+/// per-host state of d-mod-k does not fit in memory at 2^32 hosts).
+class StubRouter final : public routing::Router {
+ public:
+  using Router::Router;
+  void route(xgft::NodeIndex, xgft::NodeIndex, xgft::Route&) const override {
+    ADD_FAILURE() << "a 2^32-host table must be refused before routing";
+  }
+  [[nodiscard]] std::string name() const override { return "stub"; }
+};
+
+TEST(CompiledRoutes, TableBytesSaturatesAt2To32Hosts) {
+  // kary:65536:2 has 2^32 hosts: 2^64 pairs wrap to 0 without saturation,
+  // which would admit the table under any budget.
+  const xgft::Topology topo(xgft::karyNTree(65536, 2));
+  ASSERT_EQ(topo.numHosts(), xgft::Count{1} << 32);
+  EXPECT_EQ(CompiledRoutes::tableBytes(topo),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CompiledRoutes, RefusesTopologiesWith2To32Hosts) {
+  // Interval ranks are 32-bit: compile and the estimate throw rather than
+  // truncating the host count to 0.
+  const auto topo =
+      std::make_shared<const xgft::Topology>(xgft::karyNTree(65536, 2));
+  const auto router = std::make_shared<const StubRouter>(*topo);
+  EXPECT_THROW((void)CompiledRoutes::estimateCompressedBytes(*router),
+               std::invalid_argument);
+  EXPECT_THROW((void)CompiledRoutes::compile(router), std::invalid_argument);
+  EXPECT_THROW((void)CompiledRoutes::compileWith(router, {}),
+               std::invalid_argument);
 }
 
 TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {

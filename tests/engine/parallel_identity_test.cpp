@@ -59,6 +59,30 @@ TEST_P(ParallelIdentity, CsvAndManifestAreByteIdenticalAcrossThreads) {
   EXPECT_EQ(serial.manifest, pooled.manifest);
 }
 
+TEST(ParallelIdentity, FailedBuildsCountTheSameAtEveryWidth) {
+  // uplinks-of:1:0 cuts level-1 switch 0 off, so its closed-loop degraded
+  // compiles fail.  A failed build is memoized like a value, so the
+  // degraded hit/miss counters cannot depend on which worker asked first.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=ring:64 msg_scale=0.03125 m1=8 m2=8 w2={4,2} "
+      "routing={d-mod-k,s-mod-k,Random,colored} "
+      "faults={none,links:10,uplinks-of:1:0} seed=1..2\n");
+  ManifestOptions mopt;
+  mopt.includeHost = false;
+  const CampaignResults serial = Runner(optionsWith(1)).run(specs);
+  // The four hits: for each w2, the unseeded schemes (d-mod-k, s-mod-k)
+  // request one uplinks-of key from both seeds.  Every other request is a
+  // key of its own.
+  EXPECT_EQ(serial.cache.degradedMisses, 28u);
+  EXPECT_EQ(serial.cache.degradedHits, 4u);
+  const std::string manifest = manifestToJson(serial, mopt);
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    const CampaignResults pooled = Runner(optionsWith(4)).run(specs);
+    EXPECT_EQ(pooled.toCsv(), serial.toCsv());
+    EXPECT_EQ(manifestToJson(pooled, mopt), manifest);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Builtins, ParallelIdentity,
                          ::testing::Values("fig2-cg", "fig4", "fig5-cg",
                                            "smoke", "loadsweep",

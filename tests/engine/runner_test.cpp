@@ -150,6 +150,59 @@ TEST(Runner, FailedJobsAreCapturedNotThrown) {
   EXPECT_TRUE(results.jobs.at(1).ok) << results.jobs.at(1).error;
 }
 
+TEST(Runner, FailedBuildsAreMemoizedLikeValues) {
+  // uplinks-of:1:0 cuts every up-link of level-1 switch 0, which cuts its
+  // hosts off: the closed-loop (kThrow) degraded compile fails.  The failure is
+  // memoized, so the second request is a hit that rethrows the same error
+  // instead of a second miss that rebuilds.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=ring:64 msg_scale=0.03125 m1=8 m2=8 w2=2 routing=d-mod-k "
+      "faults=uplinks-of:1:0 seed=1\n");
+  ASSERT_EQ(specs.size(), 1u);
+  CampaignCache cache;
+  const RunnerOptions opt;
+  const JobResult first = runJob(specs[0], 0, cache, opt);
+  const JobResult second = runJob(specs[0], 1, cache, opt);
+  EXPECT_FALSE(first.ok);
+  EXPECT_FALSE(second.ok);
+  EXPECT_FALSE(first.error.empty());
+  EXPECT_EQ(first.error, second.error);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.degradedMisses, 1u);
+  EXPECT_EQ(stats.degradedHits, 1u);
+}
+
+TEST(Runner, RefusedJobsBuildNoRouterOrTable) {
+  // Every check that can refuse a job runs before the router and table
+  // memos: an over-budget fault plan and a timed plan on a closed-loop job
+  // cost one topology lookup and nothing else.
+  RunnerOptions opt;
+  opt.maxCompiledTableBytes = 1;  // Every topology is over the budget.
+  const struct {
+    const char* line;
+    const char* error;
+  } cases[] = {
+      {"pattern=ring:64 msg_scale=0.03125 m1=8 m2=8 w2=4 routing=d-mod-k "
+       "faults=links:5 seed=1\n",
+       "table exceeds maxCompiledTableBytes"},
+      {"pattern=ring:64 msg_scale=0.03125 m1=8 m2=8 w2=4 routing=d-mod-k "
+       "faults=timed:1:1000 seed=1\n",
+       "timed fault plans need an open-loop job"},
+  };
+  for (const auto& c : cases) {
+    CampaignCache cache;
+    const JobResult job = runJob(parseCampaign(c.line).at(0), 0, cache, opt);
+    EXPECT_FALSE(job.ok);
+    EXPECT_NE(job.error.find(c.error), std::string::npos) << job.error;
+    const CacheStats stats = cache.stats();
+    EXPECT_EQ(stats.topologyMisses, 1u);
+    EXPECT_EQ(stats.routerMisses, 0u) << c.line;
+    EXPECT_EQ(stats.tableMisses, 0u);
+    EXPECT_EQ(stats.compressedMisses, 0u);
+    EXPECT_EQ(stats.degradedMisses, 0u);
+  }
+}
+
 TEST(Runner, RunJobPopulatesUtilizationAndContention) {
   ExperimentSpec spec;
   spec.topo = xgft::xgft2(4, 4, 4);

@@ -33,6 +33,22 @@ TEST(Spec, ToLineRoundTripsEveryRegisteredSchemeAndAwkwardScales) {
   }
 }
 
+TEST(Spec, ToLineQuotesValuesThatHoldSeparators) {
+  // A quoted token may carry spaces and '#'; rendered bare they would split
+  // the value or start a comment.
+  for (const char* line :
+       {"pattern=\"ring:64 x\" m1=8 m2=8 w2=2",
+        "pattern=\"ring:64#x\" m1=8 m2=8 w2=2",
+        "source=\"poisson:uniform\tx\" m1=8 m2=8 w2=2",
+        "pattern=ring:64 faults=\"links:5 x\" m1=8 m2=8 w2=2"}) {
+    const ExperimentSpec spec = parseSpecLine(line);
+    EXPECT_EQ(parseSpecLine(spec.toLine()), spec) << spec.toLine();
+  }
+  // Values without separators render bare, as before.
+  EXPECT_NE(parseSpecLine("pattern=ring:64").toLine().find(" pattern=ring:64 "),
+            std::string::npos);
+}
+
 TEST(Spec, ParseCanonicalizesSchemeSpellings) {
   EXPECT_EQ(parseSpecLine("routing=random").routing, "Random");
   EXPECT_EQ(parseSpecLine("routing=Random").routing, "Random");

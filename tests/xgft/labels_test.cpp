@@ -49,27 +49,6 @@ TEST(Labels, OutOfRangeInputsThrow) {
   EXPECT_THROW((void)indexOf(p, Label(0, {0})), std::invalid_argument);
 }
 
-TEST(Labels, LeafDigitMatchesLabelOf) {
-  const Params p({5, 3, 4}, {1, 2, 2});
-  for (NodeIndex leaf = 0; leaf < p.numLeaves(); ++leaf) {
-    const Label l = labelOf(p, 0, leaf);
-    for (std::uint32_t i = 1; i <= p.height(); ++i) {
-      EXPECT_EQ(leafDigit(p, leaf, i), l.digit(i));
-    }
-  }
-}
-
-TEST(Labels, LeafDigitsVectorMatchesScalar) {
-  const Params p({5, 3, 4}, {1, 2, 2});
-  for (NodeIndex leaf = 0; leaf < p.numLeaves(); leaf += 7) {
-    const auto digits = leafDigits(p, leaf);
-    ASSERT_EQ(digits.size(), p.height());
-    for (std::uint32_t i = 1; i <= p.height(); ++i) {
-      EXPECT_EQ(digits[i - 1], leafDigit(p, leaf, i));
-    }
-  }
-}
-
 TEST(Labels, ToStringShowsMostSignificantFirst) {
   const Params p({16, 16}, {1, 10});
   EXPECT_EQ(labelOf(p, 0, 17).toString(), "<M2=1,M1=1>");
