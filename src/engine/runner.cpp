@@ -355,17 +355,16 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
                                    compileThreads);
     }
 
-    // 3. Run.  One fault install for both loops: the link events, the
-    // reroute policy and — given a resolver — the recompiles at each timed
-    // transition.  A closed-loop plan is static and its degraded table
-    // routes every pair around the failures, so no segment meets a dead
-    // port; the events still fire so linkDownNs accounts.
+    // 3. Run.  One fault install for both loops: the link events and —
+    // given a resolver — the recompiles at each timed transition.  A
+    // closed-loop plan is static and its degraded table routes every pair
+    // around the failures, so no segment meets a dead port; the events
+    // still fire so linkDownNs accounts.
     std::shared_ptr<void> faultState;  // Owns recompiled tables; outlives
                                        // the run (the resolver points in).
     const auto installFaults = [&](sim::Network& net,
                                    trace::RouteSetResolver* resolver) {
       fault::InstallOptions io;
-      io.policy = sim::FaultPolicy::kReroute;
       io.unreachable = fault::UnreachablePolicy::kDrop;
       io.compileThreads = compileThreads;
       io.applyStatic = false;  // The t = 0 table is already `table`.

@@ -21,8 +21,9 @@
 //
 // Only table-mode schemes (core::RouteMode::kTable) can be recompiled; the
 // per-segment modes (adaptive, spray) pick ports inside the simulator and
-// instead honour faults through sim::FaultPolicy.  requireDegradable()
-// enforces this with the uniform registry-style error.
+// instead honour faults through the event core's reroute
+// (sim::FaultPolicy).  requireDegradable() enforces this with the uniform
+// registry-style error.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,6 @@ std::shared_ptr<void> installFaultPlan(
     sim::Network& net, const FaultPlan& plan,
     std::shared_ptr<const routing::Router> router,
     trace::RouteSetResolver* resolver, const InstallOptions& opt) {
-  net.setFaultPolicy(opt.policy);
   auto state = std::make_shared<InstalledState>();
   if (plan.empty()) return state;
 

@@ -3,17 +3,17 @@
 // installFaultPlan() is the one call sites use to make a network honour a
 // failure plan:
 //
-//  1. the network's FaultPolicy is set (what happens to segments already
-//     committed to a dead port — wait / strand / reroute);
-//  2. every LinkFault is scheduled on the calendar queue
-//     (kLinkDown/kLinkUp events, FaultPlan::scheduleOn);
-//  3. when a resolver is supplied, each transition instant additionally
+//  1. every LinkFault is scheduled on the calendar queue
+//     (kLinkDown/kLinkUp events, FaultPlan::scheduleOn); segments already
+//     committed to a dead port are rerouted or stranded by the event core
+//     (sim::FaultPolicy);
+//  2. when a resolver is supplied, each transition instant additionally
 //     gets a callback that recompiles the scheme's forwarding tables
 //     against the then-failed link set (compileDegraded) and swaps them
 //     into the resolver — messages injected after the transition route
 //     around the failures, while in-flight route sets are immutable
-//     snapshots and keep their old paths (that is what the reroute policy
-//     is for).
+//     snapshots and keep their old paths (that is what the event core's
+//     reroute is for).
 //
 // Table swaps happen after the same-instant link events (insertion order
 // at equal timestamps), so a recompile always sees the network state it
@@ -35,7 +35,9 @@
 namespace fault {
 
 struct InstallOptions {
-  /// Applied via sim::Network::setFaultPolicy before anything is scheduled.
+  /// Vestigial: reroute-then-strand is the event core's only behaviour.
+  /// Kept because the benchmark driver still sets it; drop it with
+  /// sim::FaultPolicy at the next benchmark change.
   sim::FaultPolicy policy = sim::FaultPolicy::kReroute;
 
   /// What a recompile does with partitioned pairs.  kThrow aborts the run
@@ -54,7 +56,7 @@ struct InstallOptions {
 };
 
 /// Installs @p plan on @p net as described above.  @p resolver may be null:
-/// link events still fire and the fault policy still applies, but no table
+/// link events still fire and in-flight traffic still reroutes, but no table
 /// recompilation happens (per-segment schemes, or closed-loop runs that
 /// pre-compiled a static degraded table).  When @p resolver is non-null it
 /// must not be in a per-segment mode (spray, adaptive), and @p router must

@@ -77,7 +77,6 @@ struct FaultPlan {
   void validate(const xgft::Topology& topo) const;
 
   /// Schedules every transition on @p net (scheduleLinkDown/scheduleLinkUp).
-  /// The caller picks the sim::FaultPolicy separately.
   void scheduleOn(sim::Network& net) const;
 };
 

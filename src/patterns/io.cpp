@@ -1,9 +1,11 @@
 #include "patterns/io.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace patterns {
 
@@ -18,11 +20,30 @@ void writePhasedPattern(const PhasedPattern& app, std::ostream& os) {
   }
 }
 
+namespace {
+
+/// The whitespace-separated tokens of @p text.
+std::vector<std::string> tokens(const std::string& text) {
+  std::istringstream ls(text);
+  std::vector<std::string> out;
+  for (std::string tok; ls >> tok;) out.push_back(std::move(tok));
+  return out;
+}
+
+/// A whole token as an unsigned decimal: "-5", "+5" and "4x" are refused
+/// (istream extraction would wrap the first and stop early in the last).
+bool parseU64(const std::string& tok, std::uint64_t& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [p, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc{} && p == end;
+}
+
+}  // namespace
+
 PhasedPattern readPhasedPattern(std::istream& is) {
   PhasedPattern app;
   app.name = "unnamed";
   bool ranksSeen = false;
-  bool phaseSeen = false;
   std::string line;
   std::size_t lineNo = 0;
   const auto fail = [&](const std::string& why) {
@@ -31,41 +52,42 @@ PhasedPattern readPhasedPattern(std::istream& is) {
   };
   while (std::getline(is, line)) {
     ++lineNo;
-    std::istringstream ls(line);
-    std::string first;
-    if (!(ls >> first)) continue;  // Blank line.
-    if (first == "#") {
-      std::string directive;
-      if (!(ls >> directive)) continue;
-      if (directive == "pattern") {
-        std::string rest;
-        std::getline(ls, rest);
-        const std::size_t start = rest.find_first_not_of(' ');
-        app.name = start == std::string::npos ? "" : rest.substr(start);
-      } else if (directive == "ranks") {
+    const std::vector<std::string> tok = tokens(line);
+    if (tok.empty()) continue;  // Blank line.
+    if (tok[0] == "#") {
+      if (tok.size() < 2) continue;
+      if (tok[1] == "pattern") {
+        const std::size_t at = line.find("pattern") + 7;
+        const std::size_t start = line.find_first_not_of(' ', at);
+        // The writer spells an empty name "unnamed"; so does the reader.
+        app.name = start == std::string::npos ? "unnamed" : line.substr(start);
+      } else if (tok[1] == "ranks") {
+        // Every phase is sized by the rank count, so it must come first and
+        // only once.
+        if (ranksSeen) fail("duplicate '# ranks' directive");
         std::uint64_t n = 0;
-        if (!(ls >> n) || n == 0 || n > 0xffffffffull) {
+        if (tok.size() != 3 || !parseU64(tok[2], n) || n == 0 ||
+            n > 0xffffffffull) {
           fail("bad '# ranks' directive");
         }
         app.numRanks = static_cast<Rank>(n);
         ranksSeen = true;
-      } else if (directive == "phase") {
+      } else if (tok[1] == "phase") {
+        if (!ranksSeen) fail("'# phase' before '# ranks' directive");
         app.phases.emplace_back(app.numRanks);
-        phaseSeen = true;
       }
       // Unknown directives are comments.
       continue;
     }
     if (!ranksSeen) fail("flow before '# ranks' directive");
-    if (!phaseSeen) {
-      app.phases.emplace_back(app.numRanks);
-      phaseSeen = true;
-    }
+    if (app.phases.empty()) app.phases.emplace_back(app.numRanks);
     std::uint64_t src = 0;
     std::uint64_t dst = 0;
     std::uint64_t bytes = 0;
-    std::istringstream flowLine(line);
-    if (!(flowLine >> src >> dst >> bytes)) fail("malformed flow line");
+    if (tok.size() != 3 || !parseU64(tok[0], src) || !parseU64(tok[1], dst) ||
+        !parseU64(tok[2], bytes)) {
+      fail("malformed flow line (want '<src> <dst> <bytes>')");
+    }
     if (src >= app.numRanks || dst >= app.numRanks) {
       fail("rank out of range");
     }

@@ -14,8 +14,10 @@
 //     ...
 //
 // '#'-comments and blank lines are ignored except for the recognized
-// directives.  A file without "# phase" directives parses as a single
-// phase.
+// directives.  "# ranks" appears once, before any phase or flow; a flow
+// line is exactly three unsigned decimals.  A file without "# phase"
+// directives parses as a single phase.  campaign_cli reads such files as
+// pattern=file:PATH (patterns/register.cpp).
 #pragma once
 
 #include <iosfwd>

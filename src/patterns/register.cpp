@@ -1,9 +1,11 @@
 #include "patterns/register.hpp"
 
 #include <charconv>
+#include <fstream>
 #include <stdexcept>
 
 #include "patterns/applications.hpp"
+#include "patterns/io.hpp"
 #include "patterns/source.hpp"
 #include "patterns/synthetic.hpp"
 
@@ -83,6 +85,23 @@ void registerBuiltinPatterns(core::Registry<core::PatternInfo>& registry) {
             [](const SpecName& spec, const PatternContext&) {
               spec.requireArity(1);
               return shiftAllToAll(spec.argU32(0), kSyntheticBytes);
+            });
+  addPhased(registry, "file", "file:PATH (PATH without ':')",
+            "a flow-list file in the patterns/io.hpp format", false,
+            [](const SpecName& spec, const PatternContext&) {
+              spec.requireArity(1);
+              const std::string& path = spec.args[0];
+              std::ifstream in(path);
+              if (!in) {
+                throw std::invalid_argument("cannot open pattern file '" +
+                                            path + "'");
+              }
+              try {
+                return readPhasedPattern(in);
+              } catch (const std::invalid_argument& e) {
+                throw std::invalid_argument("pattern file '" + path +
+                                            "': " + e.what());
+              }
             });
   addSingle(registry, "ring", "ring:N", "N-rank bidirectional ring exchange",
             false, [](const SpecName& spec, const PatternContext&) {

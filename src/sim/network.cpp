@@ -418,14 +418,11 @@ void Network::handleLinkDown(std::uint32_t link) {
   ports_[parentG].down = true;
   downLinks_.push_back(DownLink{link, now_});
   if (probe_ != nullptr) probe_->onLinkDown(link, now_);
-  if (faultPolicy_ != FaultPolicy::kWait) {
-    // Eagerly resolve everything queued at or parked on the dead outputs;
-    // under kWait it all simply waits for a restore.
-    processDeadOutput(childG);
-    processDeadOutput(parentG);
-    flushDeadWaiters(childG);
-    flushDeadWaiters(parentG);
-  }
+  // Eagerly resolve everything queued at or parked on the dead outputs.
+  processDeadOutput(childG);
+  processDeadOutput(parentG);
+  flushDeadWaiters(childG);
+  flushDeadWaiters(parentG);
 }
 
 void Network::handleLinkUp(std::uint32_t link) {
@@ -498,13 +495,10 @@ void Network::processDeadOutput(std::uint32_t gOutPort) {
       probe_->onSegmentDequeued(gOutPort, /*input=*/false, port.outCount,
                                 now_);
     }
-    std::uint32_t alt = kNil;
-    if (faultPolicy_ == FaultPolicy::kReroute) {
-      alt = rerouteAlternative(gOutPort);
-      if (alt != kNil && ports_[alt].outCount + ports_[alt].reserved >=
-                             cfg_.outputBufferSegments) {
-        alt = kNil;  // The escape hatch is full; strand instead.
-      }
+    std::uint32_t alt = rerouteAlternative(gOutPort);
+    if (alt != kNil && ports_[alt].outCount + ports_[alt].reserved >=
+                           cfg_.outputBufferSegments) {
+      alt = kNil;  // The escape hatch is full; strand instead.
     }
     if (alt == kNil) {
       ++stats_.segmentsStranded;
@@ -774,22 +768,19 @@ void Network::wakeInput(std::uint32_t gInPort) {
 void Network::advanceInputTo(std::uint32_t gInPort, std::uint32_t seg,
                              std::uint32_t out) {
   PortState& port = ports_[gInPort];
-  if (ports_[out].down && faultPolicy_ != FaultPolicy::kWait) {
-    // Under kWait the segment queues behind the dead output like any full
-    // buffer and resumes on restore; otherwise escape or strand it now.
-    if (faultPolicy_ == FaultPolicy::kReroute) {
-      const std::uint32_t alt = rerouteAlternative(out);
-      if (alt != kNil) {
-        Segment& segment = segments_[seg];
-        segment.flags |= kSegEscaped;
-        segment.resolvedOut = alt;
-        ++stats_.segmentsRerouted;
-        if (probe_ != nullptr) {
-          probe_->onSegmentRerouted(out, alt, segment.msg, now_);
-        }
-        advanceInputTo(gInPort, seg, alt);  // alt is live: no recursion loop.
-        return;
+  if (ports_[out].down) {
+    // Escape through a live up-port, or strand if there is none.
+    const std::uint32_t alt = rerouteAlternative(out);
+    if (alt != kNil) {
+      Segment& segment = segments_[seg];
+      segment.flags |= kSegEscaped;
+      segment.resolvedOut = alt;
+      ++stats_.segmentsRerouted;
+      if (probe_ != nullptr) {
+        probe_->onSegmentRerouted(out, alt, segment.msg, now_);
       }
+      advanceInputTo(gInPort, seg, alt);  // alt is live: no recursion loop.
+      return;
     }
     strandInputHead(gInPort);
     return;
@@ -835,10 +826,8 @@ void Network::handleTransfer(std::uint32_t gInPort, std::uint32_t seg) {
   tryAdvanceInput(gInPort);
   tryTransmitSwitch(out);
   // The output may have failed while this transfer was in flight; do not
-  // let the segment sit in a dead queue under an eager policy.
-  if (outPort.down && faultPolicy_ != FaultPolicy::kWait) {
-    processDeadOutput(out);
-  }
+  // let the segment sit in a dead queue.
+  if (outPort.down) processDeadOutput(out);
 }
 
 std::uint32_t Network::resolveAdaptive(std::uint32_t gInPort,

@@ -71,24 +71,21 @@ enum class SprayPolicy : std::uint8_t {
 };
 
 /// What the event core does with traffic that meets a dead link
-/// (scheduleLinkDown).  In every policy an in-flight segment completes its
-/// serialization (kWireFree/kWireArrive events already scheduled proceed)
-/// and only then the port blocks.
-enum class FaultPolicy : std::uint8_t {
-  /// Traffic queues behind the dead port and waits for a scheduleLinkUp;
-  /// if none ever fires, the affected messages are converted to dropped
-  /// when the queue drains (run() never hangs or throws on faulted runs).
-  kWait,
-  /// Segments queued at or routed to the dead port are dropped immediately
-  /// (counted in NetworkStats::segmentsStranded) and their messages marked
-  /// dropped.
-  kStrand,
-  /// Ascending segments escape through the least-occupied live up-port of
-  /// the same switch (counted in segmentsRerouted) and continue minimally
-  /// adaptive from there; descending segments have a unique minimal path,
-  /// so they strand as under kStrand.
-  kReroute,
-};
+/// (scheduleLinkDown) — one behaviour, reroute-then-strand.  An in-flight
+/// segment completes its serialization (kWireFree/kWireArrive events
+/// already scheduled proceed) and only then the port blocks.  Ascending
+/// segments queued at or routed to the dead port escape through the
+/// least-occupied live up-port of the same switch (counted in
+/// NetworkStats::segmentsRerouted) and continue minimally adaptive from
+/// there.  Descending segments have a unique minimal path, and an escape
+/// with no live (or no free) up-port has nowhere to go: such segments are
+/// dropped at once (segmentsStranded) and their messages marked dropped.
+/// Host NICs are gated: a down host link holds its messages, and whatever
+/// never resumes is counted dropped when the queue drains.
+///
+/// The enum is vestigial: kReroute is the only value, kept because the
+/// benchmark driver still names it through fault::InstallOptions::policy.
+enum class FaultPolicy : std::uint8_t { kReroute };
 
 /// Receives end-to-end message completions (the Dimemas coupling point).
 class TrafficSink {
@@ -226,17 +223,12 @@ class Network {
 
   // ---- Link faults (src/fault/ drives these) -------------------------------
 
-  /// How traffic that meets a dead link is handled; may be changed between
-  /// runs (takes effect from the next fault transition processed).
-  void setFaultPolicy(FaultPolicy policy) { faultPolicy_ = policy; }
-  [[nodiscard]] FaultPolicy faultPolicy() const { return faultPolicy_; }
-
   /// Schedules the bidirectional link @p link to fail at time @p t: any
   /// segment serializing on either wire completes (and its arrival is
   /// honoured), then both directions block.  Queued/arriving traffic is
-  /// handled per the FaultPolicy.  Failing an already-down link is a no-op
-  /// at processing time.  Throws std::invalid_argument for an unknown link
-  /// or a time in the past.
+  /// rerouted or stranded (see FaultPolicy).  Failing an already-down link
+  /// is a no-op at processing time.  Throws std::invalid_argument for an
+  /// unknown link or a time in the past.
   void scheduleLinkDown(TimeNs t, xgft::LinkId link);
 
   /// Schedules @p link to come back into service at @p t; queued traffic
@@ -321,8 +313,8 @@ class Network {
   /// One in-flight segment in the contiguous slot pool.  `next` threads the
   /// FIFO queue (input or output buffer) the segment currently sits in — a
   /// segment is in at most one queue at a time, so one link suffices.
-  /// Segment::flags bit: the segment escaped a dead output port
-  /// (FaultPolicy::kReroute) and finishes its journey adaptively — its
+  /// Segment::flags bit: the segment escaped a dead output port and
+  /// finishes its journey adaptively — its
   /// interned route no longer describes the remaining hops.
   static constexpr std::uint32_t kSegEscaped = 1u;
 
@@ -425,8 +417,7 @@ class Network {
 
   /// The child-side global port of @p link (its peer is the parent side).
   [[nodiscard]] std::uint32_t linkChildGport(std::uint32_t link) const;
-  /// Strand-or-escape every segment queued in the dead output @p gOutPort
-  /// (kStrand/kReroute only).
+  /// Strand-or-escape every segment queued in the dead output @p gOutPort.
   void processDeadOutput(std::uint32_t gOutPort);
   /// Re-runs every input parked on the dead output @p gOutPort so its head
   /// segment is stranded or rerouted instead of waiting forever.
@@ -536,7 +527,6 @@ class Network {
     TimeNs since = 0;
   };
   std::vector<DownLink> downLinks_;
-  FaultPolicy faultPolicy_ = FaultPolicy::kWait;
   bool faultsSeen_ = false;  ///< Any kLinkDown ever processed.
 };
 

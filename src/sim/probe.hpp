@@ -80,15 +80,15 @@ class Probe {
   /// The link @p link came back up (scheduleLinkUp fired).
   virtual void onLinkUp(xgft::LinkId /*link*/, TimeNs /*t*/) {}
 
-  /// A segment queued at/behind the dead output @p gport was dropped under
-  /// FaultPolicy::kStrand (or kReroute with no live alternative); its
-  /// message is marked dropped and will never complete.
+  /// A segment queued at/behind the dead output @p gport was dropped (it
+  /// descends, or no live up-port could take it); its message is marked
+  /// dropped and will never complete.
   virtual void onSegmentStranded(std::uint32_t /*gport*/,
                                  std::uint32_t /*msg*/, TimeNs /*t*/) {}
 
-  /// A segment escaped a dead output under FaultPolicy::kReroute: it moved
-  /// from @p fromGport to the live up-port @p toGport and continues
-  /// adaptively (minimally) from there.
+  /// A segment escaped a dead output: it moved from @p fromGport to the
+  /// live up-port @p toGport and continues adaptively (minimally) from
+  /// there.
   virtual void onSegmentRerouted(std::uint32_t /*fromGport*/,
                                  std::uint32_t /*toGport*/,
                                  std::uint32_t /*msg*/, TimeNs /*t*/) {}

@@ -5,11 +5,11 @@
 // some odd tree shape, it surfaces here.
 #include <gtest/gtest.h>
 
+#include "../routing/destination_consistency.hpp"
 #include "analysis/contention.hpp"
 #include "analysis/dependency.hpp"
 #include "patterns/permutation.hpp"
 #include "routing/colored.hpp"
-#include "routing/forwarding.hpp"
 #include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
 #include "trace/harness.hpp"
@@ -75,9 +75,8 @@ TEST_P(RandomShapes, AllInvariantsHold) {
         << params.toString() << " " << router->name();
   }
 
-  // Destination-guided schemes stay LFT-able on every shape.
-  EXPECT_TRUE(routing::ForwardingTables::isDestinationBased(
-      topo, *routing::makeDModK(topo)))
+  // Destination-guided schemes stay destination-consistent on every shape.
+  EXPECT_TRUE(testutil::isDestinationBased(topo, *routing::makeDModK(topo)))
       << params.toString();
 
   // The census accounts for every ordered pair exactly once per level.

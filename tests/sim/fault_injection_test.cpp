@@ -1,8 +1,8 @@
 // Tests for mid-run link fault injection in the event core: the
-// kLinkDown/kLinkUp events under all three FaultPolicies, down-time
-// accounting across run(until) resumes, scheduling validation, probe hook
-// counts, and the drain conversion that keeps faulted runs from hanging or
-// throwing.
+// kLinkDown/kLinkUp events, reroute-then-strand at switches and gated host
+// NICs, down-time accounting across run(until) resumes, scheduling
+// validation, probe hook counts, and the drain conversion that keeps
+// faulted runs from hanging or throwing.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -48,13 +48,12 @@ TimeNs healthyMakespan(const Topology& topo, const routing::Router& router,
   return net.stats().lastDeliveryNs;
 }
 
-TEST(FaultInjection, WaitPolicyResumesOnRestore) {
+TEST(FaultInjection, GatedHostLinkResumesOnRestore) {
   const Topology topo(xgft::xgft2(4, 4, 1));
   const routing::RouterPtr router = routing::makeDModK(topo);
   const xgft::LinkId hostLink = topo.upLink(0, 0, 0);
 
   Network net(topo, SimConfig{});
-  net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, hostLink);
   net.scheduleLinkUp(50'000, hostLink);
   const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));
@@ -70,11 +69,10 @@ TEST(FaultInjection, WaitPolicyResumesOnRestore) {
   EXPECT_FALSE(net.linkIsDown(hostLink));
 }
 
-TEST(FaultInjection, WaitPolicyWithoutRestoreConvertsToDropsOnDrain) {
+TEST(FaultInjection, GatedHostLinkWithoutRestoreConvertsToDropsOnDrain) {
   const Topology topo(xgft::xgft2(4, 4, 1));
   const routing::RouterPtr router = routing::makeDModK(topo);
   Network net(topo, SimConfig{});
-  net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, topo.upLink(0, 0, 0));
   const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));
   net.release(m, 0);
@@ -84,33 +82,6 @@ TEST(FaultInjection, WaitPolicyWithoutRestoreConvertsToDropsOnDrain) {
   EXPECT_EQ(net.stats().messagesDelivered, 0u);
   EXPECT_EQ(net.stats().messagesDropped, 1u);
   EXPECT_TRUE(net.linkIsDown(topo.upLink(0, 0, 0)));
-}
-
-TEST(FaultInjection, StrandPolicyDropsMidFlightTraffic) {
-  // w2 = 1: the level-1 switch has a single up-link, so ascending traffic
-  // meeting it dead has no alternative.
-  const Topology topo(xgft::xgft2(4, 4, 1));
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Bytes bytes = 64 * 1024;
-  const TimeNs mid = healthyMakespan(topo, *router, 0, 4, bytes) / 2;
-  ASSERT_GT(mid, 0u);
-
-  Network net(topo, SimConfig{});
-  FaultProbe probe;
-  net.setProbe(&probe);
-  net.setFaultPolicy(FaultPolicy::kStrand);
-  net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
-  const MsgId m = net.addMessage(0, 4, bytes, router->route(0, 4));
-  net.release(m, 0);
-  EXPECT_NO_THROW(net.run());
-
-  EXPECT_EQ(net.stats().messagesDelivered, 0u);
-  EXPECT_EQ(net.stats().messagesDropped, 1u);
-  EXPECT_GE(net.stats().segmentsStranded, 1u);
-  EXPECT_EQ(net.stats().segmentsRerouted, 0u);
-  EXPECT_EQ(probe.stranded, net.stats().segmentsStranded);
-  EXPECT_EQ(probe.downs, 1u);
-  (void)m;
 }
 
 TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
@@ -126,7 +97,6 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
   Network net(topo, SimConfig{});
   FaultProbe probe;
   net.setProbe(&probe);
-  net.setFaultPolicy(FaultPolicy::kReroute);
   net.scheduleLinkDown(0, deadUplink);
   const MsgId m = net.addMessage(0, 4, 32 * 1024, route);
   net.release(m, 0);
@@ -141,14 +111,16 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
 }
 
 TEST(FaultInjection, ReroutePolicyStrandsWhenNoUpPortSurvives) {
-  // w2 = 1: reroute has no live alternative, so it degrades to strand.
+  // w2 = 1: reroute has no live alternative, so the ascending segments
+  // strand and the message is dropped.
   const Topology topo(xgft::xgft2(4, 4, 1));
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Bytes bytes = 64 * 1024;
   const TimeNs mid = healthyMakespan(topo, *router, 0, 4, bytes) / 2;
 
   Network net(topo, SimConfig{});
-  net.setFaultPolicy(FaultPolicy::kReroute);
+  FaultProbe probe;
+  net.setProbe(&probe);
   net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
   const MsgId m = net.addMessage(0, 4, bytes, router->route(0, 4));
   net.release(m, 0);
@@ -156,6 +128,9 @@ TEST(FaultInjection, ReroutePolicyStrandsWhenNoUpPortSurvives) {
   EXPECT_EQ(net.stats().messagesDelivered, 0u);
   EXPECT_EQ(net.stats().messagesDropped, 1u);
   EXPECT_GE(net.stats().segmentsStranded, 1u);
+  EXPECT_EQ(net.stats().segmentsRerouted, 0u);
+  EXPECT_EQ(probe.stranded, net.stats().segmentsStranded);
+  EXPECT_EQ(probe.downs, 1u);
   (void)m;
 }
 
@@ -168,7 +143,6 @@ TEST(FaultInjection, DownTimeAccruesAcrossPartialRunBoundaries) {
   const xgft::LinkId hostLink = topo.upLink(0, 0, 0);
 
   Network net(topo, SimConfig{});
-  net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(10'000, hostLink);
   net.scheduleLinkUp(200'000, hostLink);
   const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));

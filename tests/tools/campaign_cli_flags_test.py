@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Malformed numeric flags of campaign_cli fail up front.
+"""Malformed numeric flags of campaign_cli and the figure benches fail early.
 
-Usage: campaign_cli_flags_test.py PATH/TO/campaign_cli
+Usage: campaign_cli_flags_test.py PATH/TO/campaign_cli [PATH/TO/fig2_bench]
 
 Each case passes one bad value to --threads, --seeds or --msg-scale on an
 otherwise valid command line.  The CLI must reject it through the usage
 path (exit 2) before running anything, so the --out file must not exist
-afterwards.  Campaigns whose sweeps exceed the per-line job cap (a huge
---seeds, or a range read from stdin) must fail with the line-numbered
-campaign error, non-zero, before anything is expanded or written.  A last
-case checks that a valid line does write --out, so the absence checks above
-cannot pass vacuously.
+afterwards.  Given a figure bench (bench/bench_util.hpp flags, e.g.
+fig2_cg_slimming), the same bad values must make it exit 2 with exactly
+one stderr line and no stdout.  Campaigns whose sweeps exceed the per-line
+job cap (a huge --seeds, or a range read from stdin) must fail with the
+line-numbered campaign error, non-zero, before anything is expanded or
+written.  A last case checks that a valid line does write --out, so the
+absence checks above cannot pass vacuously.
 
 Exit codes follow the tools/ contract: 0 all cases pass, 1 a case failed,
 2 environment error (one stderr line, no stack trace).
@@ -54,13 +56,33 @@ def run(cli, args, out, stdin=None):
                           text=True, timeout=300, check=False, input=stdin)
 
 
+def check_bench(bench):
+    """Returns the number of BAD_FLAGS cases the bench harness mishandles."""
+    failed = 0
+    for flag, value in BAD_FLAGS:
+        proc = subprocess.run([bench, "--quick", "--threads", "1", flag,
+                               value], capture_output=True, text=True,
+                              timeout=300, check=False)
+        label = f"bench {flag} {value!r}"
+        lines = proc.stderr.splitlines()
+        if proc.returncode != 2 or proc.stdout or len(lines) != 1 or \
+                not lines[0].startswith("error: "):
+            print(f"FAIL {label}: exit {proc.returncode}, stdout "
+                  f"{proc.stdout[:200]!r}\n{proc.stderr}", file=sys.stderr)
+            failed += 1
+        else:
+            print(f"ok   {label}: exit 2, {lines[0]}")
+    return failed
+
+
 def main(argv):
-    if len(argv) != 2 or not os.access(argv[1], os.X_OK):
-        print("usage: campaign_cli_flags_test.py PATH/TO/campaign_cli",
-              file=sys.stderr)
+    if len(argv) not in (2, 3) or \
+            not all(os.access(path, os.X_OK) for path in argv[1:]):
+        print("usage: campaign_cli_flags_test.py PATH/TO/campaign_cli "
+              "[PATH/TO/fig2_bench]", file=sys.stderr)
         return 2
     cli = argv[1]
-    failed = 0
+    failed = check_bench(argv[2]) if len(argv) == 3 else 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, (flag, value) in enumerate(BAD_FLAGS):
             out = os.path.join(tmp, f"bad{i}.csv")
